@@ -35,7 +35,7 @@ from .sequences import (
     torus_delta_sequence,
     xi_sequence,
 )
-from .signatures import lt_signature, sigma_q, signature
+from .signatures import lt_signature, lt_signatures, sigma_q, signature
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,7 @@ __all__ = [
     "crossing_change_j_bounds", "ell_lower_bound", "eta",
     "eta_from_lattice_minimum", "expr_to_string", "genus_bound_odd_q",
     "genus_bound_q2", "infer_theta", "infer_theta_m", "j_value", "j_value_m",
-    "load_ledger", "load_seed_ledger", "lt_signature", "normalize",
+    "load_ledger", "load_seed_ledger", "lt_signature", "lt_signatures", "normalize",
     "parse_expression", "sigma_q", "signature", "sum_delta_upper", "theta",
     "theta_from_mirror_delta", "theta_m", "torus_delta_sequence",
     "two_strand_torus_matrix", "write_ledger", "xi_sequence",

@@ -1,9 +1,9 @@
 """Command line surface.
 
 Commands: sig, branch-cover, theta, theta-m, genus-bound, infer, reproduce.
-Exit codes: 0 success, 1 usage error, 2 ledger or hypothesis error,
-3 reproduction failure.  Output is deterministic for fixed inputs; --json
-switches to a machine-readable report.
+Exit codes: 0 success, 1 usage error, 2 ledger, hypothesis or
+inference-engine error, 3 reproduction failure.  Output is deterministic for fixed inputs; --json
+switches to a machine-readable report.  --q must be a prime <= MAX_Q.
 """
 
 from __future__ import annotations
@@ -23,16 +23,26 @@ from .definite import (
     genus_bound_odd_q,
     genus_bound_q2,
 )
-from .infer import BoundInterval, LedgerInconsistentError, infer_theta, infer_theta_m
+from .infer import (
+    BoundInterval,
+    EngineError,
+    LedgerInconsistentError,
+    infer_theta,
+    infer_theta_m,
+)
 from .knots import ExpressionError, expr_to_string, parse_expression
 from .ledger import Ledger, LedgerError, load_ledger, load_seed_ledger
 from .seifert import SeifertMatrix, SeifertMatrixError
 from .sequences import InconsistentDataError
-from .signatures import SingularFormError, lt_signature
+from .signatures import SingularFormError, lt_signatures
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 REPRODUCE_FAILURE = 3
+
+# Largest accepted --q.  Exact signature work grows quickly with q (the
+# field Q(zeta_q) has degree q-1), so larger primes are refused up front.
+MAX_Q = 97
 
 
 class _UsageError(Exception):
@@ -74,6 +84,8 @@ def _load(args) -> Ledger:
 def _check_q(q: int) -> int:
     if not is_prime(q):
         raise _UsageError(f"--q must be prime, got {q}")
+    if q > MAX_Q:
+        raise _UsageError(f"--q must be at most {MAX_Q}, got {q}")
     return q
 
 
@@ -127,7 +139,7 @@ def _cmd_sig(args) -> int:
             )
         V = atom.seifert
         label = args.knot
-    per_j = {j: lt_signature(V, q, j) for j in range(1, q)}
+    per_j = dict(enumerate(lt_signatures(V, q), start=1))
     total = sum(per_j.values())
     lines = [f"Levine-Tristram signatures of {label} at the {q}-th roots of unity:"]
     lines += [f"  j = {j}: {v}" for j, v in per_j.items()]
@@ -328,7 +340,8 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ledger", default=None,
                         help="path to a ledger JSON file (default: bundled seed)")
-    common.add_argument("--q", type=int, default=2, help="prime order (default 2)")
+    common.add_argument("--q", type=int, default=2,
+                        help=f"prime order, at most {MAX_Q} (default 2)")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -397,7 +410,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (LedgerError, LedgerInconsistentError, HypothesisError,
             InconsistentDataError, CoverDataError, SingularFormError,
-            SeifertMatrixError, OSError) as e:
+            SeifertMatrixError, EngineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DATA_ERROR
 

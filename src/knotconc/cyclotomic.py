@@ -8,19 +8,22 @@ polynomial
 
     Phi_q(x) = 1 + x + ... + x^(q-1),
 
-i.e. zeta^(q-1) = -(1 + zeta + ... + zeta^(q-2)).  Complex conjugation is the
-field automorphism zeta -> zeta^(-1).
+i.e. zeta^(q-1) = -(1 + zeta + ... + zeta^(q-2)).  The Galois automorphisms
+sigma_j: zeta -> zeta^j (j prime to q) permute the exponents; complex
+conjugation is sigma_(-1).
 
 Sign determination for real elements (those fixed by conjugation) embeds
 zeta at exp(2*pi*i/q) and evaluates with interval arithmetic at increasing
 precision until the enclosure excludes zero.  This terminates for every
-nonzero real element, so no numerical tolerance ever enters a result.
+nonzero real element, so no numerical tolerance ever enters a result.  The
+enclosures of cos(2*pi*k/q) are computed once per (q, precision) and cached.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from mpmath.ctx_iv import MPIntervalContext
@@ -166,19 +169,25 @@ class Cyclotomic:
             self.q, [x * f.numerator for x in self.num], self.den * f.denominator
         )
 
-    def conjugate(self) -> "Cyclotomic":
-        """The automorphism zeta -> zeta^(-1)."""
+    def galois(self, j: int) -> "Cyclotomic":
+        """The automorphism sigma_j: zeta -> zeta^j, for j prime to q."""
         q = self.q
+        if j % q == 0:
+            raise CyclotomicError(f"sigma_{j} is not an automorphism of Q(zeta_{q})")
         acc = [0] * q
         for k, a in enumerate(self.num):
             if a:
-                acc[(-k) % q] += a
+                acc[(j * k) % q] += a
         top = acc[q - 1]
         if top:
             num = [c - top for c in acc[: q - 1]]
         else:
             num = acc[: q - 1]
         return _normalized(q, num, self.den)
+
+    def conjugate(self) -> "Cyclotomic":
+        """Complex conjugation, the automorphism zeta -> zeta^(-1)."""
+        return self.galois(-1)
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm
@@ -238,23 +247,20 @@ class Cyclotomic:
         Zero is decided exactly from the coefficients.  Otherwise the real
         embedding sum(c_k * cos(2*pi*k/q)) is enclosed with mpmath interval
         arithmetic, doubling the working precision until the interval
-        excludes zero.
+        excludes zero.  The sign at zeta -> exp(2*pi*i*j/q) is
+        ``self.galois(j).sign()``.
         """
         if self.is_zero():
             return 0
         if not self.is_real():
             raise CyclotomicError("sign requested for a non-real element")
-        q = self.q
         prec = _SIGN_START_PREC
         while prec <= _SIGN_MAX_PREC:
-            iv = MPIntervalContext()
-            iv.prec = prec
+            iv, cosines = _cos_enclosures(self.q, prec)
             total = iv.mpf(0)
-            two_pi = 2 * iv.pi
-            for k, a in enumerate(self.num):
-                if not a:
-                    continue
-                total += iv.mpf(a) * iv.cos(two_pi * k / q)
+            for a, c in zip(self.num, cosines):
+                if a:
+                    total += iv.mpf(a) * c
             total /= iv.mpf(self.den)
             if total > 0:
                 return 1
@@ -265,6 +271,23 @@ class Cyclotomic:
             "could not certify the sign of a nonzero real element "
             f"up to precision {_SIGN_MAX_PREC} bits: {self!r}"
         )
+
+
+@lru_cache(maxsize=16)
+def _interval_context(prec: int) -> MPIntervalContext:
+    iv = MPIntervalContext()
+    iv.prec = prec
+    return iv
+
+
+@lru_cache(maxsize=64)
+def _cos_enclosures(q: int, prec: int):
+    """An interval context at ``prec`` bits and enclosures of cos(2*pi*k/q)
+    for k = 0..q-2.  The context is shared by every caller (threads too), so
+    nothing may set its precision after it is made."""
+    iv = _interval_context(prec)
+    two_pi = 2 * iv.pi
+    return iv, tuple(iv.cos(two_pi * k / q) for k in range(q - 1))
 
 
 def _reduce_poly(q: int, cs: list[Fraction]) -> Cyclotomic:

@@ -234,7 +234,10 @@ class Ledger:
                 raise LedgerError(f"unknown knot atom {name!r}")
 
 
-@lru_cache(maxsize=None)
+# Shared by every ledger in the process; bounded so that memory does not
+# grow with every distinct matrix queried (the seed ledger needs 27 atoms x
+# the q values in use).
+@lru_cache(maxsize=4096)
 def _sigma_q_of_matrix(rows: tuple, q: int) -> int:
     return signatures.sigma_q(SeifertMatrix(rows), q)
 

@@ -6,12 +6,20 @@ form
 
     H(omega) = (1 - omega) V + (1 - conj(omega)) V^T.
 
-We evaluate it exactly: omega lives in the cyclotomic field Q(zeta_q), the
-form is diagonalized by congruence over that field (symmetric Gaussian
-elimination, with the usual off-diagonal pivot trick when every remaining
-diagonal entry vanishes), and each pivot is a nonzero real element of the
-field whose sign is certified by interval arithmetic.  No floating point
-number ever decides a signature.
+We evaluate it exactly.  The form H(zeta) at the generator zeta of the
+cyclotomic field Q(zeta_q) is diagonalized by congruence over that field
+(symmetric Gaussian elimination, with the usual off-diagonal pivot trick
+when every remaining diagonal entry vanishes).  Each pivot is a nonzero real
+element of the field whose sign is certified by interval arithmetic.  No
+floating point number ever decides a signature.
+
+One elimination serves every root.  V is rational, so H(zeta^j) is the
+Galois conjugate sigma_j(H(zeta)) entry by entry, where sigma_j: zeta ->
+zeta^j.  An automorphism sends zero to zero, so the elimination at zeta^j
+makes the same pivot choices, and its pivots are sigma_j of the pivots at
+zeta.  Hence sigma_K(omega^j) is the sum of the signs of sigma_j(pivot).  A
+pivot p is real, so sigma_(q-j)(p) = conj(sigma_j(p)) = sigma_j(p) and the
+roots j and q-j have the same signature: only j <= q/2 are signed.
 
 At omega of prime order the form is nonsingular (roots of unity of prime
 power order are never roots of an Alexander polynomial normalized with
@@ -37,9 +45,10 @@ class SingularFormError(ArithmeticError):
     """The Hermitian form is degenerate at the requested root of unity."""
 
 
-def _hermitian_form(V: SeifertMatrix, q: int, j: int) -> list[list[Cyclotomic]]:
+def _hermitian_form(V: SeifertMatrix, q: int) -> list[list[Cyclotomic]]:
+    """H(zeta) for the generator zeta of Q(zeta_q)."""
     n = V.size
-    omega = Cyclotomic.zeta_power(q, j)
+    omega = Cyclotomic.zeta_power(q, 1)
     omega_bar = omega.conjugate()
     one = Cyclotomic.one(q)
     a = one - omega
@@ -55,12 +64,13 @@ def _hermitian_form(V: SeifertMatrix, q: int, j: int) -> list[list[Cyclotomic]]:
     return out
 
 
-def _signature_by_congruence(m: list[list[Cyclotomic]], q: int) -> int:
-    """Signature of a Hermitian matrix over Q(zeta_q) by congruence
-    diagonalization.  Raises SingularFormError on a degenerate form."""
+def _congruence_pivots(m: list[list[Cyclotomic]], q: int) -> list[Cyclotomic]:
+    """The diagonal of a congruence diagonalization of a Hermitian matrix
+    over Q(zeta_q); ``m`` is overwritten.  Raises SingularFormError on a
+    degenerate form."""
     n = len(m)
     zero = Cyclotomic.zero(q)
-    sig = 0
+    pivots = []
     for k in range(n):
         # Choose a nonzero diagonal pivot, creating one from an off-diagonal
         # entry if the remaining diagonal is entirely zero: adding a times
@@ -96,7 +106,7 @@ def _signature_by_congruence(m: list[list[Cyclotomic]], q: int) -> int:
                 m[r][k], m[r][piv_idx] = m[r][piv_idx], m[r][k]
         p = m[k][k]
         assert p.is_real()
-        sig += p.sign()
+        pivots.append(p)
         p_inv = p.inverse()
         for r in range(k + 1, n):
             if m[r][k].is_zero():
@@ -107,7 +117,30 @@ def _signature_by_congruence(m: list[list[Cyclotomic]], q: int) -> int:
             m[r][k] = zero
         for c in range(k + 1, n):
             m[k][c] = zero
+    return pivots
+
+
+def _pivots(V: SeifertMatrix, q: int) -> list[Cyclotomic]:
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    return _congruence_pivots(_hermitian_form(V, q), q)
+
+
+def _signature_at(pivots: list[Cyclotomic], j: int) -> int:
+    sig = sum(p.galois(j).sign() for p in pivots)
+    assert sig % 2 == 0 and abs(sig) <= len(pivots)
     return sig
+
+
+def lt_signatures(V: SeifertMatrix, q: int) -> tuple[int, ...]:
+    """(sigma_K(omega^1), ..., sigma_K(omega^(q-1))) for omega =
+    exp(2*pi*i/q), from one congruence diagonalization.
+
+    q must be prime.  Every entry is exact and even.
+    """
+    pivots = _pivots(V, q)
+    half = [_signature_at(pivots, j) for j in range(1, q // 2 + 1)]
+    return tuple(half[min(j, q - j) - 1] for j in range(1, q))
 
 
 def lt_signature(V: SeifertMatrix, q: int, j: int) -> int:
@@ -116,16 +149,9 @@ def lt_signature(V: SeifertMatrix, q: int, j: int) -> int:
     q must be prime and 1 <= j <= q-1, so omega != 1.  The result is exact
     and always even.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
     if not 1 <= j <= q - 1:
         raise ValueError(f"need 1 <= j <= q-1, got j={j}, q={q}")
-    if V.size == 0:
-        return 0
-    m = _hermitian_form(V, q, j)
-    sig = _signature_by_congruence(m, q)
-    assert sig % 2 == 0 and abs(sig) <= V.size
-    return sig
+    return _signature_at(_pivots(V, q), j)
 
 
 def signature(V: SeifertMatrix) -> int:
@@ -136,12 +162,11 @@ def signature(V: SeifertMatrix) -> int:
 def sigma_q(V: SeifertMatrix, q: int) -> int:
     """sigma^(q)(K): the sum of sigma_K over all nontrivial q-th roots.
 
-    Every term is computed independently; the divisibility by 4 for odd q is
-    a consequence, not an input.
+    The terms come from one diagonalization (see ``lt_signatures``); each
+    is a sum of certified pivot signs.  For odd q they pair up as j and q-j,
+    so the total is divisible by 4, which is asserted.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    total = sum(lt_signature(V, q, j) for j in range(1, q))
+    total = sum(lt_signatures(V, q))
     if q % 2 == 1:
         assert total % 4 == 0, f"sigma^({q}) = {total} is not divisible by 4"
     return total

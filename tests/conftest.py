@@ -7,23 +7,27 @@ import pytest
 from knotconc.seifert import SeifertMatrix
 
 
-def random_seifert(rng: random.Random, genus: int) -> SeifertMatrix:
-    """Random integer Seifert matrix with entries in [-3, 3].
+def random_seifert(rng: random.Random, genus: int, span: int = 3,
+                   zero_diagonal: bool = False) -> SeifertMatrix:
+    """Random integer Seifert matrix with entries in [-span, span].
 
     V - V^T is pinned to the standard symplectic form, so det(V - V^T) = 1
-    by construction and every draw is valid.
+    by construction and every draw is valid.  With ``zero_diagonal`` every
+    diagonal entry of the Hermitian form vanishes, so congruence
+    diagonalization must take its off-diagonal pivot branch.
     """
     n = 2 * genus
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = rng.randint(-3, 3)
+    if not zero_diagonal:
+        for i in range(n):
+            rows[i][i] = rng.randint(-span, span)
     for i in range(n):
         for j in range(i + 1, n):
-            a = rng.randint(-3, 3)
+            a = rng.randint(-span, span)
             if j == i + 1 and i % 2 == 0:
                 b = a - 1
-                if b < -3:
-                    a, b = -2, -3
+                if b < -span:
+                    a, b = -span + 1, -span
             else:
                 b = a
             rows[i][j] = a

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from knotconc.cli import main
+import pytest
+
+from knotconc.cli import MAX_Q, main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -176,3 +184,40 @@ def test_bad_ledger_exit_2(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "theta", "--expr", "K", "--ledger", str(path))
     assert code == 2 and "sigma must be even" in err
+
+
+def test_python_m_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotconc", "sig", "--knot", "T(2,3)", "--q", "3"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sigma^(3) = -4" in proc.stdout.splitlines()
+
+
+def test_engine_error_exit_2(capsys):
+    # twelve summands exceed the inference engine's universe limit
+    expr = ("T(2,7) + T(2,11) + T(2,13) + T(2,17) + T(2,19) + T(2,23) + "
+            "T(3,5) + T(3,7) + T(3,11) + T(3,13) + T(3,17) + 8_19")
+    code, out, err = run(capsys, "theta", "--expr", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_q_limit(capsys):
+    assert MAX_Q == 97
+    for q in ("101", "10007"):
+        for argv in (["sig", "--matrix", "[[-1,1],[0,-1]]", "--q", q],
+                     ["theta", "--expr", "T(3,7)", "--q", q]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err == f"usage error: --q must be at most 97, got {q}\n"
+    # the trefoil's sigma_K(omega) is -2 exactly when arg(omega) lies in
+    # (pi/3, 5pi/3): j = 17..80 at q = 97
+    code, out, _ = run(capsys, "sig", "--matrix", "[[-1,1],[0,-1]]", "--q", "97")
+    assert code == 0 and "sigma^(97) = -128" in out
+    with pytest.raises(SystemExit):
+        main(["sig", "--help"])
+    assert "at most 97" in capsys.readouterr().out

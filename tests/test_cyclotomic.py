@@ -65,6 +65,41 @@ def test_conjugate_of_zeta_is_inverse_power():
         assert (z * z.conjugate()) == Cyclotomic.one(q)
 
 
+def test_galois_is_a_ring_map_fixing_the_reals():
+    rng = random.Random(15)
+    for q in (3, 5, 7, 11):
+        for _ in range(15):
+            a, b = random_element(rng, q), random_element(rng, q)
+            re = a + a.conjugate()
+            for j in range(1, q):
+                s = lambda x: x.galois(j)  # noqa: E731
+                assert s(a * b) == s(a) * s(b)
+                assert s(a + b) == s(a) + s(b)
+                assert s(re).is_real()
+                # sigma_j(a) evaluated at zeta is a evaluated at zeta^j
+                w = cmath.exp(2j * cmath.pi * j / q)
+                want = sum(float(c) * w ** k for k, c in enumerate(a.coeffs))
+                assert abs(to_complex(s(a)) - want) < 1e-9 * (1 + abs(want))
+            assert a.galois(q - 1) == a.conjugate()
+            assert a.galois(1) == a
+    with pytest.raises(CyclotomicError):
+        Cyclotomic.one(5).galois(10)
+
+
+def test_sign_escalates_precision():
+    # 2cos(2*pi/5) = (sqrt(5) - 1)/2 is approached by F(n)/F(n+1) from
+    # alternating sides, within about 1/F(n+1)^2: the sign of the difference
+    # needs well over 64 bits once F(n+1) passes 2^32.
+    z = Cyclotomic.zeta_power(5, 1)
+    x = z + z.conjugate()
+    fib = [0, 1]
+    while len(fib) < 120:
+        fib.append(fib[-1] + fib[-2])
+    for n in (10, 60, 61, 118):
+        d = x - Cyclotomic.from_rational(5, Fraction(fib[n], fib[n + 1]))
+        assert d.sign() == (1 if n % 2 == 0 else -1)
+
+
 def test_norm_is_real_and_positive():
     rng = random.Random(13)
     for q in (2, 3, 5, 7):

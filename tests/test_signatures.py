@@ -6,8 +6,9 @@ from knotconc.cyclotomic import Cyclotomic
 from knotconc.seifert import SeifertMatrix, UNKNOT_MATRIX, two_strand_torus_matrix
 from knotconc.signatures import (
     SingularFormError,
-    _signature_by_congruence,
+    _congruence_pivots,
     lt_signature,
+    lt_signatures,
     sigma_q,
     signature,
 )
@@ -58,7 +59,7 @@ def test_bad_arguments():
 def test_singular_form_reported():
     zero = Cyclotomic.zero(3)
     with pytest.raises(SingularFormError):
-        _signature_by_congruence([[zero, zero], [zero, zero]], 3)
+        _congruence_pivots([[zero, zero], [zero, zero]], 3)
 
 
 def test_conjugation_symmetry_random():
@@ -100,3 +101,24 @@ def test_matches_float_oracle_spot():
         assert lt_signature(V, q, j) == approx
         checked += 1
     assert checked >= 30
+
+
+def test_lt_signatures_match_float_oracle_and_per_j_calls():
+    # zero diagonals force the off-diagonal pivot branch; entries up to 9
+    # bring coefficient growth
+    rng = random.Random(35)
+    checked = 0
+    for i in range(40):
+        V = random_seifert(rng, rng.randint(1, 3), span=rng.choice((3, 9)),
+                           zero_diagonal=i % 3 == 0)
+        q = (2, 3, 5, 7, 11)[i % 5]
+        per_j = lt_signatures(V, q)
+        assert len(per_j) == q - 1
+        assert per_j == tuple(lt_signature(V, q, j) for j in range(1, q))
+        assert sigma_q(V, q) == sum(per_j)
+        for j, value in enumerate(per_j, start=1):
+            approx = float_lt_signature(V, q, j)
+            if approx is not None:
+                assert value == approx, (V.rows, q, j)
+                checked += 1
+    assert checked >= 150
