@@ -4,6 +4,9 @@ Commands: sig, branch-cover, theta, theta-m, genus-bound, infer, reproduce.
 Exit codes: 0 success, 1 usage error, 2 ledger, hypothesis or
 inference-engine error, 3 reproduction failure.  Output is deterministic for fixed inputs; --json
 switches to a machine-readable report.  --q must be a prime <= MAX_Q.
+Expressions nest at most knots.MAX_NESTING deep (deeper is a usage error),
+and a query whose inference universe needs more than infer.MAX_NODES nodes
+is refused with exit 2 before any rule fires.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ from .definite import (
     genus_bound_q2,
 )
 from .infer import (
+    MAX_NODES,
     BoundInterval,
     EngineError,
     LedgerInconsistentError,
     infer_theta,
     infer_theta_m,
 )
-from .knots import ExpressionError, expr_to_string, parse_expression
+from .knots import MAX_NESTING, ExpressionError, Mirror, expr_to_string, parse_expression
 from .ledger import Ledger, LedgerError, load_ledger, load_seed_ledger
 from .seifert import SeifertMatrix, SeifertMatrixError
 from .sequences import InconsistentDataError
@@ -279,7 +283,7 @@ def _cmd_infer(args) -> int:
     ledger = _load(args)
     expr = _parse_expr_arg(args.expr)
     iv = infer_theta(ledger, expr, q=q)
-    miv = infer_theta(ledger, parse_expression(f"-({args.expr})"), q=q)
+    miv = infer_theta(ledger, Mirror(expr), q=q)
     lines = [f"inference for {expr_to_string(expr)} at q = {q}:"]
     lines += _interval_lines(iv, verbose=False)
     lines.append(f"mirror: {_interval_lines(miv, verbose=False)[0]}")
@@ -343,6 +347,10 @@ def build_parser() -> _Parser:
     common.add_argument("--q", type=int, default=2,
                         help=f"prime order, at most {MAX_Q} (default 2)")
     common.add_argument("--json", action="store_true", help="machine-readable output")
+    expr_help = (f"knot expression; parentheses and mirror signs nest at most "
+                 f"{MAX_NESTING} deep, and a query whose inference universe needs "
+                 f"more than {MAX_NODES} nodes (2 prod(c_i + 1) - 2 for summand "
+                 f"counts c_i: at most 10 distinct summands) exits 2")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sig", parents=[common],
@@ -362,19 +370,19 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_branch_cover)
 
     p = sub.add_parser("theta", parents=[common], help="theta^(q) of an expression")
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", required=True, help=expr_help)
     p.add_argument("--quiet", action="store_true", help="value only, no derivation")
     p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("theta-m", parents=[common], help="the m-shifted invariant")
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", required=True, help=expr_help)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=_cmd_theta_m)
 
     p = sub.add_parser("genus-bound", parents=[common],
                        help="genus lower bound in a negative definite 4-manifold")
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", required=True, help=expr_help)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--class", required=True, dest="cls",
                    help="comma-separated coordinates of the surface class")
@@ -384,7 +392,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("infer", parents=[common],
                        help="theta bounds with the full derivation trace")
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", required=True, help=expr_help)
     p.set_defaults(fn=_cmd_infer)
 
     p = sub.add_parser("reproduce", parents=[common],

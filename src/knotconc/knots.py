@@ -8,6 +8,7 @@ Expressions follow the grammar
 where NAME is an identifier that may itself contain balanced parentheses and
 commas, so that knot-table style names like ``T(2,3)``, ``9_42`` and
 ``Wh(T(2,3))`` are single atoms.  A leading ``-`` is the mirror image.
+Parentheses and mirror signs may nest at most ``MAX_NESTING`` (100) deep.
 
 Normalization pushes mirrors down to atoms (mirror is an involution and
 distributes over connected sum), flattens sums, and sorts summands, so two
@@ -17,7 +18,7 @@ expressions denote the same formal sum iff their normal forms are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 
 class ExpressionError(ValueError):
@@ -48,20 +49,23 @@ SignedAtom = tuple[str, bool]
 
 
 def signed_atoms(expr: KnotExpression) -> tuple[SignedAtom, ...]:
-    """Sorted multiset of (name, mirrored) leaves of the expression."""
+    """Sorted multiset of (name, mirrored) leaves of the expression.
 
-    def walk(e: KnotExpression, flip: bool) -> Iterator[SignedAtom]:
+    Walks with an explicit stack: a long sum is a deep left-nested tree."""
+    leaves: list[SignedAtom] = []
+    stack: list[tuple[KnotExpression, bool]] = [(expr, False)]
+    while stack:
+        e, flip = stack.pop()
         if isinstance(e, Atom):
-            yield (e.name, flip)
+            leaves.append((e.name, flip))
         elif isinstance(e, Mirror):
-            yield from walk(e.inner, not flip)
+            stack.append((e.inner, not flip))
         elif isinstance(e, Sum):
-            yield from walk(e.left, flip)
-            yield from walk(e.right, flip)
+            stack.append((e.right, flip))
+            stack.append((e.left, flip))
         else:
             raise ExpressionError(f"not a knot expression: {e!r}")
-
-    return tuple(sorted(walk(expr, False)))
+    return tuple(sorted(leaves))
 
 
 def from_signed_atoms(atoms: tuple[SignedAtom, ...]) -> KnotExpression:
@@ -74,6 +78,11 @@ def from_signed_atoms(atoms: tuple[SignedAtom, ...]) -> KnotExpression:
     for t in terms[1:]:
         out = Sum(out, t)
     return out
+
+
+def mirror_atoms(atoms: tuple[SignedAtom, ...]) -> tuple[SignedAtom, ...]:
+    """The sorted multiset of signed atoms of the mirror image."""
+    return tuple(sorted((name, not m) for name, m in atoms))
 
 
 def normalize(expr: KnotExpression) -> KnotExpression:
@@ -142,10 +151,17 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# Deepest nesting of parentheses and mirror signs the parser accepts; the
+# parser recurses once per level, so deeper input is refused, not crashed on.
+MAX_NESTING = 100
+
+
 def parse_expression(text: str) -> KnotExpression:
-    """Parse the expression grammar; raises ExpressionError on bad input."""
+    """Parse the expression grammar; raises ExpressionError on bad input,
+    including terms nested more than MAX_NESTING deep."""
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -164,15 +180,22 @@ def parse_expression(text: str) -> KnotExpression:
         return out
 
     def parse_term() -> KnotExpression:
+        nonlocal depth
         tok = peek()
-        if tok == "-":
+        if tok in ("-", "("):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ExpressionError(
+                    f"expression nested more than {MAX_NESTING} levels deep "
+                    f"(parentheses and mirror signs)")
             take()
-            return Mirror(parse_term())
-        if tok == "(":
-            take()
-            inner = parse_sum()
-            if take() != ")":
-                raise ExpressionError(f"expected ')' in {text!r}")
+            if tok == "-":
+                inner = Mirror(parse_term())
+            else:
+                inner = parse_sum()
+                if take() != ")":
+                    raise ExpressionError(f"expected ')' in {text!r}")
+            depth -= 1
             return inner
         if tok is not None and tok.startswith("NAME:"):
             take()

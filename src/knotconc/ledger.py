@@ -38,7 +38,6 @@ from typing import Optional, Union
 from .cyclotomic import is_prime
 from .knots import (
     KnotExpression,
-    SignedAtom,
     expr_to_string,
     parse_expression,
     signed_atoms,
@@ -114,12 +113,6 @@ class CrossingRelation:
 
     plus: KnotExpression
     minus: KnotExpression
-
-    def plus_atoms(self) -> tuple[SignedAtom, ...]:
-        return signed_atoms(self.plus)
-
-    def minus_atoms(self) -> tuple[SignedAtom, ...]:
-        return signed_atoms(self.minus)
 
 
 @dataclass

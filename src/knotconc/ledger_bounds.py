@@ -1,0 +1,218 @@
+"""The theta^(q) bounds the ledger gives one connected sum directly.
+
+The inference engine (``infer``) works over connected sums of signed atoms,
+each kept as a sorted tuple, its key.  The rules here read only the ledger,
+never a bound the engine derived, so the engine applies them once per key:
+
+  R1  signature / genus:     max(0, -sigma^(q)/(2(q-1))) <= theta <= g4
+  R4  closed form:           quasi-alternating (q = 2) or L-space branched
+                             cover gives theta = max(0, -sigma^(q)/(2(q-1)))
+  R5  delta jump:            delta^(q) < -sigma^(q)/2 and sigma^(q) <= 0
+                             force theta >= 1/(q-1) - sigma^(q)/(2(q-1))
+  R7  HF+ degree:            theta >= ell^(q)(-K)/(q-1) - 3 sigma^(q)/(4(q-1))
+  R8  exact sequence:        a full delta sequence for the mirror pins theta
+                             exactly through the j-scan
+
+The same object reduces a query to its concordance class and serves the
+ledger quantities the engine's other rules need.  Every ledger fact it
+consults is recorded in ``provenance``.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from fractions import Fraction
+from typing import Optional
+
+from .knots import KnotExpression, SignedAtom, from_signed_atoms, mirror_atoms, signed_atoms
+from .ledger import Ledger
+from .sequences import DeltaSequence, ell_lower_bound, theta_from_mirror_delta
+
+Key = tuple[SignedAtom, ...]
+# (lower, upper, why): a bound on theta, None where the rule gives none
+Bound = tuple[Optional[Fraction], Optional[Fraction], str]
+
+
+class LedgerBounds:
+    def __init__(self, ledger: Ledger, q: int):
+        self.ledger = ledger
+        self.q = q
+        self.provenance: dict[str, str] = {}
+        self._atom_values: dict[tuple[str, SignedAtom], Optional[int]] = {}
+
+    def _note_fact(self, name: str, kind: str, mirror: bool = False,
+                   q: Optional[int] = None) -> None:
+        for f in self.ledger.facts_used(name, kind, mirror=mirror, q=q):
+            self.provenance[f.describe()] = f.provenance
+
+    # -- concordance reduction ---------------------------------------------
+
+    def reduce(self, expr: KnotExpression) -> Key:
+        """Drop slice summands and cancel K + (-K) pairs; theta only sees
+        the concordance class."""
+        counts: Counter = Counter()
+        for name, mirrored in signed_atoms(expr):
+            if self.ledger.atom_value(name, "slice", mirror=mirrored) is True:
+                self._note_fact(name, "slice")
+                continue
+            counts[(name, mirrored)] += 1
+        for name in {n for n, _ in counts}:
+            k = min(counts[(name, False)], counts[(name, True)])
+            if k:
+                counts[(name, False)] -= k
+                counts[(name, True)] -= k
+        return tuple(sorted(counts.elements()))
+
+    def relations(self) -> list[tuple[Key, Key]]:
+        """The ledger's crossing-change relations, reduced, and their
+        mirrors: if K+ -> K- is one, so is -K- -> -K+."""
+        out = []
+        for rel in self.ledger.relations:
+            plus = self.reduce(rel.plus)
+            minus = self.reduce(rel.minus)
+            out.append((plus, minus))
+            out.append((mirror_atoms(minus), mirror_atoms(plus)))
+        return out
+
+    # -- additive quantities ------------------------------------------------
+
+    def _additive(self, key: Key, kind: str) -> Optional[int]:
+        """An additive ledger quantity of a connected sum: the sum over its
+        summands, or None if one of them lacks it.  Each summand is looked
+        up once.  Its facts are noted when it has a value, which notes what
+        summing key by key would, since the engine asks about every summand
+        of a key on its own too."""
+        total = 0
+        for atom in key:
+            if (kind, atom) not in self._atom_values:
+                self._atom_values[(kind, atom)] = self._atom_value(kind, atom)
+            v = self._atom_values[(kind, atom)]
+            if v is None:
+                return None
+            total += v
+        return total
+
+    def _atom_value(self, kind: str, atom: SignedAtom) -> Optional[int]:
+        expr, q = from_signed_atoms((atom,)), self.q
+        if kind == "sigma_q":
+            v = self.ledger.sigma_q_expr(expr, q)
+            noted = [("sigma_q", q)] + [("sigma", None)] * (q == 2)
+        elif kind == "g4":
+            v = self.ledger.genus_upper_expr(expr)
+            noted = [("g4", None), ("g4_upper", None)]
+        elif kind == "unknotting_upper":
+            v = self.ledger.unknotting_upper_expr(expr)
+            noted = [("unknotting_upper", None)]
+        else:
+            qq = None if q == 2 else q
+            v = self.ledger.additive_expr(expr, kind, q=qq)
+            noted = [(kind, qq)]
+        if v is not None:
+            for k, kq in noted:
+                self._note_fact(atom[0], k, mirror=atom[1], q=kq)
+        return v
+
+    def sigma_q(self, key: Key) -> Optional[int]:
+        return self._additive(key, "sigma_q")
+
+    def delta_hom(self, key: Key) -> Optional[int]:
+        """Additive delta invariant: Manolescu-Owens for q = 2, the branched
+        q-cover d-invariant for odd q."""
+        return self._additive(key, "delta_MO" if self.q == 2 else "delta_q_jabuka")
+
+    def u_upper(self, key: Key) -> Optional[int]:
+        return self._additive(key, "unknotting_upper")
+
+    def mirror_delta_seq(self, key: Key) -> Optional[DeltaSequence]:
+        """Exact delta sequence of the mirror of a single-atom key, from an
+        ingested fact or from a closed-form family flag."""
+        if len(key) != 1:
+            return None
+        name, mirrored = key[0]
+        f = self.ledger.fact(name, "delta_seq", mirror=not mirrored, q=self.q)
+        if f is not None:
+            self.provenance[f.describe()] = f.provenance
+            return f.value
+        flagged = False
+        if self.q == 2 and self.ledger.atom_value(name, "quasi_alternating") is True:
+            self._note_fact(name, "quasi_alternating")
+            flagged = True
+        if self.ledger.atom_value(name, "l_space", q=self.q) is True:
+            self._note_fact(name, "l_space", q=self.q)
+            flagged = True
+        if flagged:
+            sig_mirror = self.ledger.sigma_q_atom(name, self.q, mirror=not mirrored)
+            if sig_mirror is not None:
+                return DeltaSequence.constant(-sig_mirror // 2)
+        return None
+
+    # -- rules ----------------------------------------------------------------
+
+    def bounds(self, key: Key) -> list[Bound]:
+        """What R1, R4, R5, R7 and R8 give at key."""
+        return (self._r1(key) + self._r4(key) + self._r5(key) + self._r7(key)
+                + self._r8(key))
+
+    def _r1(self, key: Key) -> list[Bound]:
+        out = []
+        sigq = self.sigma_q(key)
+        if sigq is not None:
+            out.append((Fraction(-sigq, 2 * (self.q - 1)), None,
+                        f"R1 signature lower bound, sigma^({self.q}) = {sigq}"))
+        g4 = self._additive(key, "g4")
+        if g4 is not None:
+            out.append((None, Fraction(g4), f"R1 slice genus upper bound, g4 <= {g4}"))
+        return out
+
+    def _r4(self, key: Key) -> list[Bound]:
+        if len(key) != 1:
+            return []
+        name, _ = key[0]
+        qa = self.q == 2 and self.ledger.atom_value(name, "quasi_alternating") is True
+        lsp = self.ledger.atom_value(name, "l_space", q=self.q) is True
+        if not (qa or lsp):
+            return []
+        sigq = self.sigma_q(key)
+        if sigq is None:
+            return []
+        self._note_fact(name, "quasi_alternating")
+        if lsp:
+            self._note_fact(name, "l_space", q=self.q)
+        value = max(Fraction(0), Fraction(-sigq, 2 * (self.q - 1)))
+        why = ("R4 quasi-alternating closed form" if qa else "R4 L-space closed form")
+        return [(value, value, why)]
+
+    def _r5(self, key: Key) -> list[Bound]:
+        sigq = self.sigma_q(key)
+        delta = self.delta_hom(key)
+        if sigq is None or delta is None:
+            return []
+        if sigq <= 0 and Fraction(delta) < Fraction(-sigq, 2):
+            return [(Fraction(1, self.q - 1) + Fraction(-sigq, 2 * (self.q - 1)), None,
+                     f"R5 delta jump: delta^({self.q}) = {delta} < -sigma/2 = "
+                     f"{Fraction(-sigq, 2)} with sigma <= 0")]
+        return []
+
+    def _r7(self, key: Key) -> list[Bound]:
+        if len(key) != 1:
+            return []
+        name, mirrored = key[0]
+        f = self.ledger.fact(name, "ell_q", mirror=not mirrored, q=self.q)
+        if f is None:
+            return []
+        sigq = self.sigma_q(key)
+        if sigq is None:
+            return []
+        self.provenance[f.describe()] = f.provenance
+        return [(ell_lower_bound(self.q, f.value, sigq, 0), None,
+                 f"R7 HF+ degree bound: ell^({self.q})(mirror) = {f.value}")]
+
+    def _r8(self, key: Key) -> list[Bound]:
+        seq = self.mirror_delta_seq(key)
+        if seq is None:
+            return []
+        sigq = self.sigma_q(key)
+        if sigq is None:
+            return []
+        value = theta_from_mirror_delta(self.q, seq, sigq).value
+        return [(value, value, "R8 exact delta sequence of the mirror")]

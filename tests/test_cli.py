@@ -206,6 +206,35 @@ def test_engine_error_exit_2(capsys):
     assert "Traceback" not in err
 
 
+def test_deep_nesting_exits_1(capsys):
+    for expr in ("(" * 3000 + "T(2,3)" + ")" * 3000, "-" * 3000 + "T(2,3)"):
+        code, out, err = run(capsys, "theta", f"--expr={expr}")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_long_cancelling_sum(capsys):
+    expr = " + ".join(["T(2,3)", "-T(2,3)"] * 1500)
+    code, out, err = run(capsys, "theta", "--expr", expr, "--quiet")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "theta = 0"
+
+
+def test_repeated_summands(capsys):
+    # 40 copies have 41 sub-multisets; theta of a sum of positive T(2,k) is
+    # the sum of (k - 1)/2 (signature bound below, subadditivity above)
+    code, out, _ = run(capsys, "theta", "--expr", " + ".join(["T(2,3)"] * 40), "--quiet")
+    assert code == 0 and out.splitlines()[1] == "theta = 40"
+    code, out, err = run(capsys, "theta", "--expr", " + ".join(["T(2,3)"] * 3000))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(SystemExit):
+        main(["theta", "--help"])
+    assert "4000 nodes" in " ".join(capsys.readouterr().out.split())
+
+
 def test_q_limit(capsys):
     assert MAX_Q == 97
     for q in ("101", "10007"):

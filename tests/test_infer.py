@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotconc.infer import LedgerInconsistentError, infer_theta, infer_theta_m
+from knotconc.infer import InferenceEngine, LedgerInconsistentError, infer_theta, infer_theta_m
 from knotconc.knots import parse_expression
 from knotconc.ledger import ledger_from_json, ledger_to_json, load_seed_ledger
 
@@ -105,6 +105,36 @@ def test_unknotting_number_chain():
     assert b.value + mb.value <= 2
 
 
+def test_subadditivity_over_equal_halves():
+    """K + K has one split, K | K, and only R2 over it bounds theta above."""
+    data = {
+        "atoms": [{"name": "K"}],
+        "facts": [
+            {"knot": "K", "kind": "sigma", "value": -2, "provenance": "t"},
+            {"knot": "K", "kind": "quasi_alternating", "value": True, "provenance": "t"},
+        ],
+        "relations": [],
+    }
+    L = ledger_from_json(data)
+    assert infer(L, "K").value == 1
+    assert infer(L, "K + K").value == 2
+    assert infer(L, "K + K + K + K").value == 4
+
+
+def test_universe_sizes():
+    """Nodes and crossing-change relations of a query's universe, as the
+    pass-based engine built them: a partner larger than its node is related
+    from its own side, and a relation end brings in the other end."""
+    L = load_seed_ledger()
+    for text, nodes, relations in [
+        ("T(2,3)", 11, 10), ("unknot", 11, 10), ("T(2,5) + -Wh(T(2,3))", 15, 18),
+        ("9_42 + T(2,3) + -T(2,5)", 31, 58), ("T(2,3) + T(2,3) + Wh(T(2,5))", 27, 40),
+    ]:
+        engine = InferenceEngine(L, 2)
+        engine.run(parse_expression(text))
+        assert (len(engine.nodes), len(engine.relations)) == (nodes, relations), text
+
+
 def test_inconsistent_ledger_reports_rules():
     data = {
         "atoms": [{"name": "K"}],
@@ -158,6 +188,7 @@ QUERIES = [
     "9_42", "-9_42", "Wh(T(2,3))", "-Wh(T(2,3))", "-(9_42) + Wh(T(2,3))",
     "T(2,5) + -Wh(T(2,3))", "T(3,7)", "-T(3,13)", "T(2,11)",
     "Wh(T(2,5)) + -Wh(T(2,3))", "T(2,3) + T(2,3)", "8_19 + -T(2,3)",
+    "T(2,5) + -Wh(T(2,3)) + T(3,7) + -T(2,11) + 8_19",
 ]
 
 
@@ -216,3 +247,60 @@ def test_monotone_adding_facts_never_widens():
         if wide.upper is not None:
             assert tight.upper is not None and tight.upper <= wide.upper, text
         checked += 1
+
+
+# (lower, upper) at q = 2, 3 and 5 for seeded sums of 1-8 seed atoms, relation
+# atoms and mirrors among them, as computed by the pass-based engine that
+# re-fired every rule on every node until nothing changed.  The worklist
+# engine must reach the same fixed point.
+PINNED = [
+    ('-Wh(T(2,5))', ('0', '0'), ('0', '0'), ('0', '0')),
+    ('T(2,11)', ('5', '5'), ('5', '5'), ('3', '5')),
+    ('Wh(T(2,3))', ('1', '1'), ('0', '1'), ('0', '1')),
+    ('9_42', ('0', '0'), ('0', '0'), ('0', '0')),
+    ('-Wh(T(2,5))', ('0', '0'), ('0', '0'), ('0', '0')),
+    ('-Wh(T(2,3)) + T(2,3)', ('1', '1'), ('0', '1'), ('0', '1')),
+    ('-T(3,7) + -T(2,5)', ('0', '0'), ('0', '6'), ('0', '6')),
+    ('-T(2,23) + -Wh(T(2,3))', ('0', '0'), ('0', '0'), ('0', '4')),
+    ('T(2,7) + Wh(T(2,5))', ('3', '4'), ('3', '4'), ('2', '4')),
+    ('T(3,7) + Wh(T(2,3))', ('6', '7'), ('0', '7'), ('0', '7')),
+    ('T(3,19) + T(2,5) + -T(3,11)', ('8', '20'), ('0', '30'), ('0', '30')),
+    ('T(2,29) + -T(2,19) + -T(2,5)', ('3', '14'), ('3', '14'), ('3/2', '17')),
+    ('T(2,7) + Wh(T(2,5)) + 9_46', ('3', '4'), ('3', '4'), ('2', '4')),
+    ('T(2,11) + T(3,7) + T(3,5)', ('13', '15'), ('0', '15'), ('0', '15')),
+    ('-T(3,13) + 9_42 + T(3,19)', ('5', '18'), ('0', '30'), ('0', '30')),
+    ('T(2,23) + -T(2,31) + T(3,19) + -T(2,3)', ('7', '29'), ('0', '29'), ('0', '35')),
+    ('-T(2,17) + unknot + -T(3,11) + T(2,25)', ('0', '12'), ('0', '22'), ('0', '25')),
+    ('T(2,5) + Wh(T(2,3)) + T(2,23) + 8_19', ('16', '17'), ('8', '17'), ('11/2', '17')),
+    ('T(2,13) + -Wh(T(2,5)) + T(3,5) + T(3,31)', ('30', '40'), ('0', '40'), ('0', '40')),
+    ('unknot + Wh(T(2,3)) + Wh(T(2,5)) + -T(2,3)', ('0', '2'), ('0', '2'), ('0', '2')),
+    ('T(2,5) + -T(3,5) + T(3,13) + -9_46 + -T(3,5)', ('4', '14'), ('0', '22'), ('0', '22')),
+    ('Wh(T(2,3)) + T(2,5) + T(2,11) + T(2,19) + T(3,5)', ('20', '21'), ('8', '21'), ('13/2', '21')),
+    ('-T(3,25) + T(2,23) + -9_42 + T(3,25) + -8_19', ('9', '12'), ('8', '15'), ('4', '15')),
+    ('T(3,11) + T(2,13) + -T(3,31) + -T(2,5) + T(3,13)', ('0', '28'), ('0', '58'), ('0', '58')),
+    ('-unknot + Wh(T(2,5)) + T(3,23) + T(2,7) + -T(2,17)', ('14', '26'), ('0', '26'), ('0', '29')),
+    ('-T(2,13) + -T(2,23) + -T(2,19) + T(3,25) + Wh(T(2,3)) + -9_46', ('0', '25'), ('0', '25'), ('0', '34')),
+    ('-Wh(T(2,5)) + -T(2,5) + -T(2,3) + T(3,17) + T(3,13) + -T(2,29)', ('3', '28'), ('0', '28'), ('0', '33')),
+    ('-T(2,3) + unknot + -T(2,5) + -T(2,5) + T(2,31) + T(2,23)', ('21', '26'), ('13', '26'), ('12', '26')),
+    ('-T(2,23) + T(2,13) + -Wh(T(2,5)) + Wh(T(2,3)) + -T(3,19) + T(2,25)', ('0', '19'), ('0', '37'), ('0', '41')),
+    ('T(2,3) + Wh(T(2,3)) + -T(2,11) + T(2,17) + T(3,23) + T(3,11)', ('28', '42'), ('0', '42'), ('0', '44')),
+    ('T(2,17) + T(3,7) + -T(2,25) + T(3,29) + -T(2,29) + T(2,17) + -Wh(T(2,3))', ('14', '50'), ('0', '50'), ('0', '119/2')),
+    ('T(3,25) + T(3,29) + -T(3,23) + T(3,23) + -T(2,7) + T(3,5) + -T(2,23)', ('26', '56'), ('0', '56'), ('0', '61')),
+    ('-T(2,5) + -unknot + T(3,7) + -T(2,11) + T(3,13) + -T(3,11) + -T(3,25)', ('0', '18'), ('0', '52'), ('0', '54')),
+    ('-Wh(T(2,3)) + -T(2,23) + T(2,3) + -9_46 + T(3,13) + -8_19 + -Wh(T(2,3))', ('0', '13'), ('0', '16'), ('0', '20')),
+    ('T(2,29) + -Wh(T(2,3)) + -9_42 + -T(3,17) + -T(3,19) + T(2,11) + -T(2,5)', ('0', '20'), ('0', '54'), ('0', '54')),
+    ('Wh(T(2,3)) + -Wh(T(2,3)) + T(3,17) + -T(2,13) + -T(2,7) + T(2,17) + -T(2,31) + T(2,19)', ('5', '33'), ('0', '33'), ('0', '42')),
+    ('T(3,17) + -T(2,23) + -T(3,7) + T(3,23) + -9_42 + T(3,29) + -unknot + -T(2,29)', ('20', '67'), ('0', '73'), ('0', '82')),
+    ('T(2,19) + T(3,29) + -T(2,23) + -8_19 + Wh(T(2,5)) + 9_42 + T(3,5) + -T(3,5)', ('14', '38'), ('0', '41'), ('0', '45')),
+    ('T(2,25) + -T(3,11) + T(3,17) + T(3,23) + Wh(T(2,3)) + -T(2,11) + -unknot + T(2,13)', ('33', '57'), ('0', '67'), ('0', '69')),
+    ('-Wh(T(2,5)) + Wh(T(2,3)) + T(3,11) + -unknot + -T(3,23) + T(3,23) + -T(2,23) + T(3,7)', ('1', '17'), ('0', '17'), ('0', '21')),
+]
+
+
+def test_pinned_intervals():
+    L = load_seed_ledger()
+    for text, *per_q in PINNED:
+        for q, (lower, upper) in zip((2, 3, 5), per_q):
+            iv = infer(L, text, q=q)
+            want = (Fraction(lower), None if upper is None else Fraction(upper))
+            assert (iv.lower, iv.upper) == want, (text, q)
