@@ -86,10 +86,11 @@ def _load(args) -> Ledger:
 
 
 def _check_q(q: int) -> int:
-    if not is_prime(q):
-        raise _UsageError(f"--q must be prime, got {q}")
+    # the size check comes first: trial division of a huge prime never ends
     if q > MAX_Q:
         raise _UsageError(f"--q must be at most {MAX_Q}, got {q}")
+    if not is_prime(q):
+        raise _UsageError(f"--q must be prime, got {q}")
     return q
 
 
@@ -129,7 +130,7 @@ def _cmd_sig(args) -> int:
         try:
             rows = json.loads(args.matrix)
             V = SeifertMatrix.from_rows(rows)
-        except (json.JSONDecodeError, TypeError, ValueError) as e:
+        except (TypeError, ValueError, RecursionError) as e:
             raise _UsageError(f"bad --matrix: {e}") from None
         label = "matrix"
     else:

@@ -12,6 +12,13 @@ i.e. zeta^(q-1) = -(1 + zeta + ... + zeta^(q-2)).  The Galois automorphisms
 sigma_j: zeta -> zeta^j (j prime to q) permute the exponents; complex
 conjugation is sigma_(-1).
 
+Inversion uses the field norm N(a) = a * sigma_2(a) * ... * sigma_(q-1)(a),
+a nonzero rational for a != 0: the inverse is the product of the other
+q - 2 conjugates divided by N(a).  The Galois group is cyclic, generated by
+tau = sigma_g for a generator g of (Z/q)^*, so that product is built by
+doubling, tau(a)...tau^(2m)(a) = P * tau^m(P) with P = tau(a)...tau^m(a),
+in about 2 log2(q) integer multiplications and no polynomial division.
+
 Sign determination for real elements (those fixed by conjugation) embeds
 zeta at exp(2*pi*i/q) and evaluates with interval arithmetic at increasing
 precision until the enclosure excludes zero.  This terminates for every
@@ -190,24 +197,27 @@ class Cyclotomic:
         return self.galois(-1)
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_q(x) over Q."""
+        """Multiplicative inverse by the Galois norm: with rest the product
+        of the q - 2 conjugates sigma_j(self), j = 2..q-1, N = rest * self
+        is a nonzero rational, so self^(-1) = rest / N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         q = self.q
-        phi = [Fraction(1)] * q  # 1 + x + ... + x^(q-1)
-        g, s = _poly_half_xgcd([Fraction(a, self.den) for a in self.num], phi)
-        # g is a nonzero constant since Phi_q is irreducible over Q
-        assert len(g) == 1 and g[0] != 0
-        inv_c = 1 / g[0]
-        cs = [c * inv_c for c in s]
-        cs += [Fraction(0)] * (q - 1 - len(cs))
-        out = _reduce_poly(q, cs)
-        assert (out * self) == Cyclotomic.one(q)
+        g = _generator(q)
+        # rest = tau(a) tau^2(a) ... tau^m(a) for tau = sigma_g, with m
+        # doubled along the bits of q - 2: log q multiplications, not q
+        rest, m = Cyclotomic.one(q), 0
+        for bit in bin(q - 2)[2:]:
+            if m:
+                rest = rest * rest.galois(pow(g, m, q))
+                m *= 2
+            if bit == "1":
+                rest = self.galois(g) * rest.galois(g)
+                m += 1
+        norm = rest * self
+        out = rest.scale(Fraction(norm.den, norm.num[0]))
+        assert out * self == Cyclotomic.one(q)
         return out
-
-    def __truediv__(self, other: "Cyclotomic") -> "Cyclotomic":
-        return self * other.inverse()
 
     # -- predicates --------------------------------------------------------
 
@@ -273,6 +283,12 @@ class Cyclotomic:
         )
 
 
+@lru_cache(maxsize=64)
+def _generator(q: int) -> int:
+    """A generator of the cyclic group (Z/q)^*, q prime."""
+    return next(g for g in range(1, q) if len({pow(g, k, q) for k in range(q - 1)}) == q - 1)
+
+
 @lru_cache(maxsize=16)
 def _interval_context(prec: int) -> MPIntervalContext:
     iv = MPIntervalContext()
@@ -289,70 +305,3 @@ def _cos_enclosures(q: int, prec: int):
     two_pi = 2 * iv.pi
     return iv, tuple(iv.cos(two_pi * k / q) for k in range(q - 1))
 
-
-def _reduce_poly(q: int, cs: list[Fraction]) -> Cyclotomic:
-    folded = [Fraction(0)] * q
-    for e, c in enumerate(cs):
-        if c:
-            folded[e % q] += c
-    top = folded[q - 1]
-    if top:
-        out = [c - top for c in folded[: q - 1]]
-    else:
-        out = folded[: q - 1]
-    return Cyclotomic(q, out)
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    quo = [Fraction(0)] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] / lb
-        quo[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] -= f * b[i]
-        a.pop()
-    return _poly_trim(quo), _poly_trim(a if a else [Fraction(0)])
-
-
-def _poly_half_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, s) with s*a = g (mod b) and g = gcd(a, b)."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    while any(r1) and r1 != [Fraction(0)]:
-        quo, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(quo, s1))
-        if r1 == [Fraction(0)]:
-            break
-    return r0, s0
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-    return _poly_trim(out)

@@ -43,7 +43,7 @@ from .knots import (
     signed_atoms,
 )
 from .seifert import SeifertMatrix
-from .sequences import DeltaSequence
+from .sequences import DeltaSequence, SequenceError
 from . import signatures
 
 
@@ -238,6 +238,17 @@ def _sigma_q_of_matrix(rows: tuple, q: int) -> int:
 # -- parsing and validation ---------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_field(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise LedgerError(f"ledger field {key!r} must be a list, got {value!r}")
+    return value
+
+
 def _fact_from_json(obj: dict, atoms: dict[str, KnotAtom]) -> Fact:
     if not isinstance(obj, dict):
         raise LedgerError(f"fact must be an object, got {obj!r}")
@@ -249,41 +260,49 @@ def _fact_from_json(obj: dict, atoms: dict[str, KnotAtom]) -> Fact:
     except KeyError as e:
         raise LedgerError(f"fact missing field {e} in {obj!r}") from None
 
+    if not isinstance(knot_field, str):
+        raise LedgerError(f"fact knot must be an atom name, got {knot_field!r}")
     mirror = False
     name = knot_field
-    if isinstance(name, str) and name.startswith("-"):
+    if name.startswith("-"):
         mirror = True
         name = name[1:]
     if name not in atoms:
         raise LedgerError(f"fact references unknown atom {name!r}")
-    if kind not in ALL_KINDS:
+    if not isinstance(kind, str) or kind not in ALL_KINDS:
         raise LedgerError(f"unknown fact kind {kind!r} for knot {name!r}")
 
     takes_q = _INT_KINDS.get(kind, _BOOL_KINDS.get(kind, _SEQ_KINDS.get(kind)))
     q = obj.get("q")
     j = obj.get("j")
     if takes_q:
-        if q is None or not is_prime(q):
+        if not _is_int(q) or not is_prime(q):
             raise LedgerError(f"fact {kind}({name}) needs a prime q, got {q!r}")
     elif q is not None:
         raise LedgerError(f"fact {kind}({name}) does not take q")
     if kind == "lt_signature":
-        if j is None or not 1 <= j <= q - 1:
+        if not _is_int(j) or not 1 <= j <= q - 1:
             raise LedgerError(f"lt_signature({name}) needs 1 <= j <= q-1, got {j!r}")
     elif j is not None:
         raise LedgerError(f"fact {kind}({name}) does not take j")
 
     if kind in _SEQ_KINDS:
-        if (not isinstance(value, dict) or "values" not in value or "stable" not in value):
+        if (not isinstance(value, dict) or not isinstance(value.get("values"), list)
+                or not all(_is_int(v) for v in value["values"])
+                or not _is_int(value.get("stable"))):
             raise LedgerError(
-                f"delta_seq({name}) value must be {{'values': [...], 'stable': n}}"
+                f"delta_seq({name}) value must be {{'values': [...], 'stable': n}} "
+                f"with integer entries"
             )
-        value = DeltaSequence(tuple(int(v) for v in value["values"]), int(value["stable"]))
+        try:
+            value = DeltaSequence(tuple(value["values"]), value["stable"])
+        except SequenceError as e:
+            raise LedgerError(f"delta_seq({name}): {e}") from None
     elif kind in _BOOL_KINDS:
         if not isinstance(value, bool):
             raise LedgerError(f"fact {kind}({name}) must be a boolean")
     else:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise LedgerError(f"fact {kind}({name}) must be an integer")
 
     fact = Fact(knot=name, kind=kind, value=value, provenance=provenance,
@@ -373,9 +392,11 @@ def ledger_from_json(data: dict) -> Ledger:
     if not isinstance(data, dict):
         raise LedgerError("ledger file must contain a JSON object")
     atoms: dict[str, KnotAtom] = {}
-    for obj in data.get("atoms", []):
+    for obj in _list_field(data, "atoms"):
         if isinstance(obj, str):
             obj = {"name": obj}
+        if not isinstance(obj, dict):
+            raise LedgerError(f"atom must be a name or an object, got {obj!r}")
         name = obj.get("name")
         if not name or not isinstance(name, str):
             raise LedgerError(f"atom missing name: {obj!r}")
@@ -390,14 +411,19 @@ def ledger_from_json(data: dict) -> Ledger:
         atoms[name] = KnotAtom(name=name, seifert=seifert)
 
     facts: dict[tuple, Fact] = {}
-    for obj in data.get("facts", []):
+    for obj in _list_field(data, "facts"):
         f = _fact_from_json(obj, atoms)
         if f.key() in facts:
             raise LedgerError(f"duplicate fact {f.describe()}")
         facts[f.key()] = f
 
     relations = []
-    for obj in data.get("relations", []):
+    for obj in _list_field(data, "relations"):
+        if not isinstance(obj, dict) or not all(
+                isinstance(obj.get(side, ""), str) for side in ("plus", "minus")):
+            raise LedgerError(
+                f"bad crossing relation {obj!r}: 'plus' and 'minus' must be expressions"
+            )
         try:
             plus = parse_expression(obj["plus"])
             minus = parse_expression(obj["minus"])
@@ -421,6 +447,8 @@ def load_ledger(path) -> Ledger:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise LedgerError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except (ValueError, RecursionError) as e:  # not UTF-8, huge integers, deep nesting
+            raise LedgerError(f"{path}: {e}") from None
     return ledger_from_json(data)
 
 

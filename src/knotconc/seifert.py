@@ -9,7 +9,6 @@ unknot.  Mirroring replaces V by -V^T and connected sum is block sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -18,27 +17,25 @@ class SeifertMatrixError(ValueError):
 
 
 def _det_int(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix, exactly (fraction-free enough)."""
+    """Determinant of an integer matrix by Bareiss elimination: each entry
+    after step k is a (k+1)-minor, so every division is exact."""
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
             m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    assert det.denominator == 1
-    return int(det)
+            sign = -sign
+        pk, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pk * row[j] - a * row_k[j]) // prev
+        prev = pk
+    return sign * m[-1][-1] if n else 1
 
 
 @dataclass(frozen=True)
@@ -72,6 +69,9 @@ class SeifertMatrix:
                 raise SeifertMatrixError(f"Seifert matrix entries must be integers, got {x!r}")
             return x
 
+        if not isinstance(rows, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in rows):
+            raise SeifertMatrixError("Seifert matrix must be a list of rows")
         return SeifertMatrix(tuple(tuple(as_int(x) for x in row) for row in rows))
 
     @property
@@ -81,10 +81,6 @@ class SeifertMatrix:
     @property
     def genus(self) -> int:
         return self.size // 2
-
-    def transpose(self) -> "SeifertMatrix":
-        n = self.size
-        return SeifertMatrix(tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)))
 
     def mirror(self) -> "SeifertMatrix":
         """Seifert matrix -V^T of the mirror knot."""

@@ -237,7 +237,8 @@ def test_repeated_summands(capsys):
 
 def test_q_limit(capsys):
     assert MAX_Q == 97
-    for q in ("101", "10007"):
+    # 2^89 - 1 is prime: the size check must come before trial division
+    for q in ("101", "10007", str(2 ** 89 - 1)):
         for argv in (["sig", "--matrix", "[[-1,1],[0,-1]]", "--q", q],
                      ["theta", "--expr", "T(3,7)", "--q", q]):
             code, out, err = run(capsys, *argv)
@@ -250,3 +251,53 @@ def test_q_limit(capsys):
     with pytest.raises(SystemExit):
         main(["sig", "--help"])
     assert "at most 97" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("matrix", ["5", "[[-1,1],5]", "[" * 100_000, "[" + "9" * 5000 + "]"],
+                         ids=["int", "row-int", "nested-too-deep", "huge-integer"])
+def test_bad_matrix_exit_1(matrix, capsys):
+    code, out, err = run(capsys, "sig", "--matrix", matrix)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: bad --matrix: ") and err.count("\n") == 1
+
+
+TREFOIL = {"name": "K", "seifert": [[-1, 1], [0, -1]]}
+
+
+def _ledger(facts=(), relations=(), atoms=(TREFOIL,)):
+    return {"atoms": atoms, "facts": facts, "relations": relations}
+
+
+def _fact(**fields):
+    return {"knot": "K", "kind": "g4", "value": 1, "provenance": "t", **fields}
+
+
+def _delta_seq(values):
+    return _fact(kind="delta_seq", q=2, value={"values": values, "stable": 1})
+
+
+MALFORMED_LEDGERS = {
+    "atom-not-object": {"atoms": [123]},
+    "facts-not-list": _ledger(facts=5),
+    "seifert-not-list": _ledger(atoms=[{"name": "K", "seifert": 5}]),
+    "delta-values-not-list": _ledger(facts=[_delta_seq(3)]),
+    "q-string": _ledger(facts=[_fact(kind="sigma_q", q="3", value=-4)]),
+    "j-string": _ledger(facts=[_fact(kind="lt_signature", q=3, j="1", value=-2)]),
+    "relation-plus-int": _ledger(relations=[{"plus": 5, "minus": "K"}]),
+    "knot-list": _ledger(facts=[_fact(knot=["K"])]),
+    "delta-values-string": _ledger(facts=[_delta_seq(["x"])]),
+    "delta-increasing": _ledger(facts=[_delta_seq([1, 5])]),
+    "not-utf8": b'{"atoms": ["\xff\xfe"]}',
+    "nested-too-deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LEDGERS))
+def test_malformed_ledger_exit_2(case, tmp_path, capsys):
+    data = MALFORMED_LEDGERS[case]
+    path = tmp_path / "ledger.json"
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+    code, out, err = run(capsys, "theta", "--expr", "K", "--ledger", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

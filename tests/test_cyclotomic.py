@@ -48,6 +48,22 @@ def test_field_axioms_random():
                 assert a * a.inverse() == Cyclotomic.one(q)
 
 
+def test_inverse_at_larger_q():
+    rng = random.Random(16)
+    for q in (11, 13, 31, 97):
+        one = Cyclotomic.one(q)
+        elements = [random_element(rng, q) for _ in range(4)]
+        elements += [Cyclotomic.zeta_power(q, 3) + one,
+                     Cyclotomic.from_rational(q, Fraction(-7, 3))]
+        for a in elements:
+            inv = a.inverse()
+            assert a * inv == one
+            assert inv.inverse() == a
+    for q in (2, 3, 11):
+        with pytest.raises(ZeroDivisionError):
+            Cyclotomic.zero(q).inverse()
+
+
 def test_conjugation_is_an_involution_and_ring_map():
     rng = random.Random(12)
     for q in (3, 5, 7):

@@ -1,11 +1,22 @@
+import random
+
 import pytest
 
 from knotconc.seifert import (
     SeifertMatrix,
     SeifertMatrixError,
     UNKNOT_MATRIX,
+    _det_int,
     two_strand_torus_matrix,
 )
+
+
+def cofactor_det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** c * m[0][c] * cofactor_det([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)) if m[0][c])
 
 
 def test_unknot_matrix():
@@ -58,3 +69,35 @@ def test_two_strand_family():
         two_strand_torus_matrix(4)
     with pytest.raises(SeifertMatrixError):
         two_strand_torus_matrix(1)
+
+
+def test_rejects_non_list_rows():
+    for rows in (5, "ab", [[-1, 1], 5], [None]):
+        with pytest.raises(SeifertMatrixError, match="list of rows"):
+            SeifertMatrix.from_rows(rows)
+
+
+def test_det_int_matches_cofactor_expansion():
+    rng = random.Random(17)
+    swaps = singular = 0
+    for _ in range(600):
+        n = rng.randint(0, 6)
+        density = rng.choice([0.3, 0.6, 1.0])
+        m = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.3:
+            m = [[m[i][j] - m[j][i] for j in range(n)] for i in range(n)]  # skew
+        if n >= 2 and rng.random() < 0.2:
+            m[-1] = [a + b for a, b in zip(m[0], m[1])]  # dependent rows
+        want = cofactor_det(m)
+        assert _det_int(m) == want, m
+        singular += n > 0 and want == 0
+        swaps += n > 0 and m[0][0] == 0 and want != 0
+    # the draws exercise both the row-swap and the singular branches
+    assert swaps > 20 and singular > 20
+    # a leading zero that needs a swap, and a zero column that ends early
+    assert _det_int([[0, 1], [1, 0]]) == -1
+    assert _det_int([[0, 2, 1], [0, 3, 4], [5, 6, 7]]) == cofactor_det(
+        [[0, 2, 1], [0, 3, 4], [5, 6, 7]])
+    assert _det_int([[1, 2, 3], [2, 4, 6], [0, 0, 0]]) == 0
+    assert _det_int([]) == 1
