@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import reproduce as reproduce_mod
 from .branched import CoverDataError, CoverInput, cover_topology
-from .cyclotomic import is_prime
+from .cyclotomic import MAX_Q, is_prime
 from .definite import (
     HomologyClass,
     HypothesisError,
@@ -43,10 +44,6 @@ from .signatures import SingularFormError, lt_signatures
 USAGE_ERROR = 1
 DATA_ERROR = 2
 REPRODUCE_FAILURE = 3
-
-# Largest accepted --q.  Exact signature work grows quickly with q (the
-# field Q(zeta_q) has degree q-1), so larger primes are refused up front.
-MAX_Q = 97
 
 
 class _UsageError(Exception):
@@ -226,12 +223,10 @@ def _parse_class(text: str, rank: int) -> HomologyClass:
 
 
 def _torus_n_from_expr(text: str) -> int:
-    # the comparison table is specific to T(3, 6n+1)
-    t = text.replace(" ", "")
-    if t.startswith("T(3,") and t.endswith(")"):
-        k = int(t[4:-1])
-        if k % 6 == 1:
-            return k // 6
+    # the comparison table is specific to T(3, 6n+1) with n >= 1
+    match = re.fullmatch(r"T\(3,(\d{1,9})\)", text.replace(" ", ""))
+    if match and int(match[1]) % 6 == 1 and int(match[1]) > 1:
+        return int(match[1]) // 6
     raise _UsageError(
         f"--compare needs a knot of the form T(3,6n+1), got {text!r}"
     )
@@ -285,14 +280,9 @@ def _cmd_infer(args) -> int:
     expr = _parse_expr_arg(args.expr)
     iv = infer_theta(ledger, expr, q=q)
     miv = infer_theta(ledger, Mirror(expr), q=q)
-    lines = [f"inference for {expr_to_string(expr)} at q = {q}:"]
-    lines += _interval_lines(iv, verbose=False)
-    lines.append(f"mirror: {_interval_lines(miv, verbose=False)[0]}")
-    lines.append("derivation:")
-    lines += [f"  {line}" for line in iv.justification]
-    if iv.provenance:
-        lines.append("ledger facts used:")
-        lines += [f"  {k}: {v}" for k, v in iv.provenance.items()]
+    value, *derivation = _interval_lines(iv, verbose=True)
+    lines = [f"inference for {expr_to_string(expr)} at q = {q}:", value,
+             f"mirror: {_interval_lines(miv, verbose=False)[0]}", *derivation]
     _emit(args, lines, {
         "command": "infer", "query": expr_to_string(expr), "q": q,
         "result": _interval_json(iv), "mirror": _interval_json(miv),

@@ -39,6 +39,12 @@ _SIGN_START_PREC = 64
 _SIGN_MAX_PREC = 1 << 15
 
 
+# Largest prime order accepted from the command line or a ledger fact.  Exact
+# signature work grows quickly with q (the field Q(zeta_q) has degree q-1),
+# so larger primes are refused up front, before the primality test.
+MAX_Q = 97
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

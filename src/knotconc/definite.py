@@ -44,10 +44,6 @@ class HomologyClass:
 
     coords: tuple[int, ...]
 
-    @staticmethod
-    def from_coords(coords: Sequence[int]) -> "HomologyClass":
-        return HomologyClass(tuple(int(c) for c in coords))
-
     @property
     def rank(self) -> int:
         return len(self.coords)
@@ -101,10 +97,6 @@ class GenusBound:
     a_square: int
     theta_interval: BoundInterval
     exact_theta: bool
-
-    def describe(self) -> str:
-        how = "exact theta" if self.exact_theta else "interval lower end for theta"
-        return f"g >= {self.value} (q={self.q}, m={self.m}, a^2={self.a_square}; {how})"
 
 
 def genus_bound_odd_q(

@@ -15,15 +15,20 @@ File format (UTF-8 JSON)::
 
 A fact's "knot" field is an atom name, optionally prefixed with "-" to
 attach the fact to the mirror of the atom; that is how mirror-specific data
-such as delta sequences and lowest HF^+ degrees of -K are recorded.  Kinds
-parameterized by a prime carry a "q" field ("sigma_q", "delta_seq", "ell_q",
-"delta_q_jabuka", "l_space") and "lt_signature" carries "q" and "j".  Delta
+such as delta sequences and lowest HF^+ degrees of -K are recorded.  Delta
 sequences are encoded as {"values": [...], "stable": n}.
 
-Mirror symmetry is applied on lookup: signatures and the concordance
-homomorphisms (tau, s, delta variants) change sign under mirroring, genus
-and unknotting data are mirror-invariant, and delta sequences / ell values
-are served only for the exact side they were ingested for.
+One table, ``_KINDS``, says for each fact kind what type its value has,
+whether it is parameterized by a prime (a "q" field, at most
+``cyclotomic.MAX_Q``; "lt_signature" also carries "j") and how it behaves
+under mirroring: signatures and the concordance homomorphisms (tau, s, delta
+variants) change sign, genus, unknotting and family data are
+mirror-invariant, and delta sequences / ell values are served only for the
+exact side they were ingested for.
+
+``Ledger.quantity`` is the one lookup of an atom's quantity: it applies the
+mirror rule, the fallbacks (g4 to g4_upper; sigma_q to sigma at q = 2 and
+then to the Seifert matrix) and returns the facts to cite with the value.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional, Union
 
-from .cyclotomic import is_prime
+from .cyclotomic import MAX_Q, is_prime
 from .knots import (
     KnotExpression,
     expr_to_string,
@@ -51,31 +56,26 @@ class LedgerError(ValueError):
     pass
 
 
-# kind -> (takes_q, value type)
-_INT_KINDS = {
-    "sigma": False,
-    "sigma_q": True,
-    "lt_signature": True,
-    "tau": False,
-    "s": False,
-    "delta_MO": False,
-    "delta_q_jabuka": True,
-    "g4": False,
-    "g4_upper": False,
-    "g4_lower": False,
-    "unknotting_upper": False,
-    "ell_q": True,
-}
-_BOOL_KINDS = {"quasi_alternating": False, "slice": False, "l_space": True}
-_SEQ_KINDS = {"delta_seq": True}
-ALL_KINDS = set(_INT_KINDS) | set(_BOOL_KINDS) | set(_SEQ_KINDS)
-
-# f(-K) = -f(K)
-_ANTISYMMETRIC = {"sigma", "sigma_q", "lt_signature", "tau", "s", "delta_MO", "delta_q_jabuka"}
-# f(-K) = f(K)
-_MIRROR_INVARIANT = {
-    "g4", "g4_upper", "g4_lower", "unknotting_upper",
-    "quasi_alternating", "slice", "l_space",
+# kind -> (value type, takes q, mirror rule).  The mirror rule says what a
+# fact about one side gives for the other: -1 for f(-K) = -f(K), +1 for
+# f(-K) = f(K), 0 for nothing (served only for the side it was ingested for).
+_KINDS: dict[str, tuple[type, bool, int]] = {
+    "sigma": (int, False, -1),
+    "sigma_q": (int, True, -1),
+    "lt_signature": (int, True, -1),
+    "tau": (int, False, -1),
+    "s": (int, False, -1),
+    "delta_MO": (int, False, -1),
+    "delta_q_jabuka": (int, True, -1),
+    "g4": (int, False, 1),
+    "g4_upper": (int, False, 1),
+    "g4_lower": (int, False, 1),
+    "unknotting_upper": (int, False, 1),
+    "ell_q": (int, True, 0),
+    "quasi_alternating": (bool, False, 1),
+    "slice": (bool, False, 1),
+    "l_space": (bool, True, 1),
+    "delta_seq": (DeltaSequence, True, 0),
 }
 _NONNEGATIVE = {"g4", "g4_upper", "g4_lower", "unknotting_upper"}
 
@@ -137,37 +137,46 @@ class Ledger:
         other = self.fact(name, kind, mirror=not mirror, q=q)
         if other is None:
             return None
-        if kind in _ANTISYMMETRIC:
+        rule = _KINDS[kind][2]
+        if rule == -1:
             return -other.value
-        if kind in _MIRROR_INVARIANT:
-            return other.value
-        return None  # delta_seq / ell_q do not transform simply
+        return other.value if rule == 1 else None
 
-    def facts_used(self, name: str, kind: str, mirror: bool = False,
-                   q: Optional[int] = None) -> list[Fact]:
-        out = []
-        for m in (mirror, not mirror):
-            f = self.fact(name, kind, mirror=m, q=q)
-            if f is not None:
-                out.append(f)
+    def quantity(self, name: str, kind: str, mirror: bool = False,
+                 q: Optional[int] = None) -> tuple[Optional[FactValue], list[Fact]]:
+        """The value of ``kind`` for an atom or its mirror, and the facts to
+        cite for it.
+
+        g4 falls back to g4_upper, sigma_q to sigma at q = 2 and then to the
+        atom's Seifert matrix.  q is dropped for kinds that do not take one.
+        With a value, every kind tried cites its fact for this side, or else
+        for the other; without one, nothing is cited.
+        """
+        kinds = [kind]
+        if kind == "g4":
+            kinds.append("g4_upper")
+        elif kind == "sigma_q" and q == 2:
+            kinds.append("sigma")
+        keys = [(k, q if _KINDS[k][1] else None) for k in kinds]
+        value = None
+        for k, kq in keys:
+            value = self.atom_value(name, k, mirror=mirror, q=kq)
+            if value is not None:
                 break
-        return out
+        if value is None and kind == "sigma_q":
+            atom = self.atoms.get(name)
+            if atom is not None and atom.seifert is not None:
+                value = _sigma_q_of_matrix(atom.seifert.rows, q)
+                value = -value if mirror else value
+        if value is None:
+            return None, []
+        cited = [self.fact(name, k, mirror=mirror, q=kq)
+                 or self.fact(name, k, mirror=not mirror, q=kq) for k, kq in keys]
+        return value, [f for f in cited if f is not None]
 
     def sigma_q_atom(self, name: str, q: int, mirror: bool = False) -> Optional[int]:
-        """sigma^(q) of an atom (or mirror): ingested fact for any side,
-        else exact computation from a stored Seifert matrix."""
-        v = self.atom_value(name, "sigma_q", mirror=mirror, q=q)
-        if v is not None:
-            return v
-        if q == 2:
-            v = self.atom_value(name, "sigma", mirror=mirror)
-            if v is not None:
-                return v
-        atom = self.atoms.get(name)
-        if atom is not None and atom.seifert is not None:
-            base = _sigma_q_of_matrix(atom.seifert.rows, q)
-            return -base if mirror else base
-        return None
+        """sigma^(q) of an atom or its mirror (see ``quantity``)."""
+        return self.quantity(name, "sigma_q", mirror=mirror, q=q)[0]
 
     def sigma_q_expr(self, expr: KnotExpression, q: int) -> Optional[int]:
         """sigma^(q) of a formal sum, by additivity over summands."""
@@ -178,48 +187,6 @@ class Ledger:
                 return None
             total += v
         return total
-
-    def additive_expr(self, expr: KnotExpression, kind: str,
-                      q: Optional[int] = None) -> Optional[int]:
-        """Sum of an antisymmetric additive invariant (tau, s, delta_MO,
-        delta_q_jabuka) over the summands of a formal sum."""
-        assert kind in _ANTISYMMETRIC
-        total = 0
-        for name, mirrored in signed_atoms(expr):
-            v = self.atom_value(name, kind, mirror=mirrored, q=q)
-            if v is None:
-                return None
-            total += v
-        return total
-
-    def genus_upper_expr(self, expr: KnotExpression) -> Optional[int]:
-        """Upper bound for g4 of a formal sum: sum of per-atom g4 (exact) or
-        g4_upper facts; subadditivity of the slice genus."""
-        total = 0
-        for name, mirrored in signed_atoms(expr):
-            v = self.atom_value(name, "g4", mirror=mirrored)
-            if v is None:
-                v = self.atom_value(name, "g4_upper", mirror=mirrored)
-            if v is None:
-                return None
-            total += v
-        return total
-
-    def unknotting_upper_expr(self, expr: KnotExpression) -> Optional[int]:
-        total = 0
-        for name, mirrored in signed_atoms(expr):
-            v = self.atom_value(name, "unknotting_upper", mirror=mirrored)
-            if v is None:
-                return None
-            total += v
-        return total
-
-    def is_slice_expr(self, expr: KnotExpression) -> bool:
-        """True if every summand is slice (then the sum is slice)."""
-        return all(
-            self.atom_value(name, "slice", mirror=mirrored) is True
-            for name, mirrored in signed_atoms(expr)
-        )
 
     def require_atoms(self, expr: KnotExpression) -> None:
         for name, _ in signed_atoms(expr):
@@ -269,15 +236,16 @@ def _fact_from_json(obj: dict, atoms: dict[str, KnotAtom]) -> Fact:
         name = name[1:]
     if name not in atoms:
         raise LedgerError(f"fact references unknown atom {name!r}")
-    if not isinstance(kind, str) or kind not in ALL_KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise LedgerError(f"unknown fact kind {kind!r} for knot {name!r}")
 
-    takes_q = _INT_KINDS.get(kind, _BOOL_KINDS.get(kind, _SEQ_KINDS.get(kind)))
+    value_type, takes_q, _ = _KINDS[kind]
     q = obj.get("q")
     j = obj.get("j")
     if takes_q:
-        if not _is_int(q) or not is_prime(q):
-            raise LedgerError(f"fact {kind}({name}) needs a prime q, got {q!r}")
+        # the size check comes first: trial division of a huge prime never ends
+        if not _is_int(q) or q > MAX_Q or not is_prime(q):
+            raise LedgerError(f"fact {kind}({name}) needs a prime q <= {MAX_Q}, got {q!r}")
     elif q is not None:
         raise LedgerError(f"fact {kind}({name}) does not take q")
     if kind == "lt_signature":
@@ -286,7 +254,7 @@ def _fact_from_json(obj: dict, atoms: dict[str, KnotAtom]) -> Fact:
     elif j is not None:
         raise LedgerError(f"fact {kind}({name}) does not take j")
 
-    if kind in _SEQ_KINDS:
+    if value_type is DeltaSequence:
         if (not isinstance(value, dict) or not isinstance(value.get("values"), list)
                 or not all(_is_int(v) for v in value["values"])
                 or not _is_int(value.get("stable"))):
@@ -298,7 +266,7 @@ def _fact_from_json(obj: dict, atoms: dict[str, KnotAtom]) -> Fact:
             value = DeltaSequence(tuple(value["values"]), value["stable"])
         except SequenceError as e:
             raise LedgerError(f"delta_seq({name}): {e}") from None
-    elif kind in _BOOL_KINDS:
+    elif value_type is bool:
         if not isinstance(value, bool):
             raise LedgerError(f"fact {kind}({name}) must be a boolean")
     else:
@@ -336,13 +304,15 @@ def _check_signature_facts_against_matrices(ledger: Ledger) -> None:
         atom = ledger.atoms.get(f.knot)
         if atom is None or atom.seifert is None:
             continue
-        V = atom.seifert.mirror() if f.mirror else atom.seifert
         if f.kind == "sigma":
-            computed = signatures.signature(V)
+            computed = signatures.signature(atom.seifert)
         elif f.kind == "sigma_q":
-            computed = signatures.sigma_q(V, f.q)
+            computed = _sigma_q_of_matrix(atom.seifert.rows, f.q)
         else:
-            computed = signatures.lt_signature(V, f.q, f.j)
+            computed = signatures.lt_signature(atom.seifert, f.q, f.j)
+        # every Levine-Tristram signature changes sign under mirroring
+        if f.mirror:
+            computed = -computed
         if computed != f.value:
             raise LedgerError(
                 f"{f.describe()}: ingested value {f.value} disagrees with the "

@@ -24,8 +24,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
-from .knots import KnotExpression, SignedAtom, from_signed_atoms, mirror_atoms, signed_atoms
-from .ledger import Ledger
+from .knots import KnotExpression, SignedAtom, mirror_atoms, signed_atoms
+from .ledger import FactValue, Ledger
 from .sequences import DeltaSequence, ell_lower_bound, theta_from_mirror_delta
 
 Key = tuple[SignedAtom, ...]
@@ -40,10 +40,14 @@ class LedgerBounds:
         self.provenance: dict[str, str] = {}
         self._atom_values: dict[tuple[str, SignedAtom], Optional[int]] = {}
 
-    def _note_fact(self, name: str, kind: str, mirror: bool = False,
-                   q: Optional[int] = None) -> None:
-        for f in self.ledger.facts_used(name, kind, mirror=mirror, q=q):
+    def _quantity(self, name: str, kind: str, mirror: bool = False,
+                  q: Optional[int] = None) -> Optional[FactValue]:
+        """Look up a ledger quantity of one atom, note the facts it cites,
+        and return its value."""
+        value, facts = self.ledger.quantity(name, kind, mirror=mirror, q=q)
+        for f in facts:
             self.provenance[f.describe()] = f.provenance
+        return value
 
     # -- concordance reduction ---------------------------------------------
 
@@ -53,7 +57,7 @@ class LedgerBounds:
         counts: Counter = Counter()
         for name, mirrored in signed_atoms(expr):
             if self.ledger.atom_value(name, "slice", mirror=mirrored) is True:
-                self._note_fact(name, "slice")
+                self._quantity(name, "slice")
                 continue
             counts[(name, mirrored)] += 1
         for name in {n for n, _ in counts}:
@@ -85,32 +89,13 @@ class LedgerBounds:
         total = 0
         for atom in key:
             if (kind, atom) not in self._atom_values:
-                self._atom_values[(kind, atom)] = self._atom_value(kind, atom)
+                self._atom_values[(kind, atom)] = self._quantity(
+                    atom[0], kind, mirror=atom[1], q=self.q)
             v = self._atom_values[(kind, atom)]
             if v is None:
                 return None
             total += v
         return total
-
-    def _atom_value(self, kind: str, atom: SignedAtom) -> Optional[int]:
-        expr, q = from_signed_atoms((atom,)), self.q
-        if kind == "sigma_q":
-            v = self.ledger.sigma_q_expr(expr, q)
-            noted = [("sigma_q", q)] + [("sigma", None)] * (q == 2)
-        elif kind == "g4":
-            v = self.ledger.genus_upper_expr(expr)
-            noted = [("g4", None), ("g4_upper", None)]
-        elif kind == "unknotting_upper":
-            v = self.ledger.unknotting_upper_expr(expr)
-            noted = [("unknotting_upper", None)]
-        else:
-            qq = None if q == 2 else q
-            v = self.ledger.additive_expr(expr, kind, q=qq)
-            noted = [(kind, qq)]
-        if v is not None:
-            for k, kq in noted:
-                self._note_fact(atom[0], k, mirror=atom[1], q=kq)
-        return v
 
     def sigma_q(self, key: Key) -> Optional[int]:
         return self._additive(key, "sigma_q")
@@ -135,10 +120,10 @@ class LedgerBounds:
             return f.value
         flagged = False
         if self.q == 2 and self.ledger.atom_value(name, "quasi_alternating") is True:
-            self._note_fact(name, "quasi_alternating")
+            self._quantity(name, "quasi_alternating")
             flagged = True
         if self.ledger.atom_value(name, "l_space", q=self.q) is True:
-            self._note_fact(name, "l_space", q=self.q)
+            self._quantity(name, "l_space", q=self.q)
             flagged = True
         if flagged:
             sig_mirror = self.ledger.sigma_q_atom(name, self.q, mirror=not mirrored)
@@ -175,9 +160,9 @@ class LedgerBounds:
         sigq = self.sigma_q(key)
         if sigq is None:
             return []
-        self._note_fact(name, "quasi_alternating")
+        self._quantity(name, "quasi_alternating")
         if lsp:
-            self._note_fact(name, "l_space", q=self.q)
+            self._quantity(name, "l_space", q=self.q)
         value = max(Fraction(0), Fraction(-sigq, 2 * (self.q - 1)))
         why = ("R4 quasi-alternating closed form" if qa else "R4 L-space closed form")
         return [(value, value, why)]

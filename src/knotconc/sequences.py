@@ -208,21 +208,6 @@ def theta_from_mirror_delta(
     return theta_m(q, jm, sigq_K)
 
 
-def rho_vanishing_index(xi_mirror: XiSequence, sigma_K: int) -> int:
-    """theta(K) for q = 2 via the shifted sequence rho_j(-K) = xi_{j + sigma(K)/2}(-K),
-    extended by xi_j = xi_0 for j < 0; returns the least j >= 0 with rho_j = 0."""
-    if sigma_K % 2 != 0:
-        raise InconsistentDataError(f"sigma must be even, got {sigma_K}")
-    if xi_mirror.stable != 0:
-        raise InconsistentDataError("xi sequence never vanishes")
-    shift = sigma_K // 2
-    j = 0
-    while True:
-        if xi_mirror.value_at(j + shift) == 0:
-            return j
-        j += 1
-
-
 def torus_delta_sequence(family: str, n: int) -> DeltaSequence:
     """Closed-form delta sequences (q = 2) for T(3, 6n-1) and T(3, 6n+1),
     positive or mirrored.

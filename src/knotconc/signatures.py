@@ -107,10 +107,12 @@ def _congruence_pivots(m: list[list[Cyclotomic]], q: int) -> list[Cyclotomic]:
         p = m[k][k]
         assert p.is_real()
         pivots.append(p)
-        p_inv = p.inverse()
+        p_inv = None  # inverted only if a row below needs it
         for r in range(k + 1, n):
             if m[r][k].is_zero():
                 continue
+            if p_inv is None:
+                p_inv = p.inverse()
             f = m[r][k] * p_inv
             for c in range(k + 1, n):
                 m[r][c] = m[r][c] - f * m[k][c]

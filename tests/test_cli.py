@@ -82,6 +82,15 @@ def test_genus_bound_compare(capsys):
     assert "theta: 5   tau: 5   sig1: 3   sig2: -6" in out
 
 
+def test_genus_bound_compare_needs_one_torus_knot(capsys):
+    # the bound itself holds for the sum; only the comparison table is refused
+    code, out, err = run(capsys, "genus-bound", "--expr", "T(3,7) + T(2,3)",
+                         "--rank", "2", "--class", "2,2", "--compare")
+    assert code == 1 and out == ""
+    assert err == ("usage error: --compare needs a knot of the form T(3,6n+1), "
+                   "got 'T(3,7) + T(2,3)'\n")
+
+
 def test_genus_bound_q3(capsys):
     code, out, _ = run(capsys, "genus-bound", "--expr", "T(2,7)", "--q", "3",
                        "--rank", "1", "--class", "0")
@@ -287,6 +296,8 @@ MALFORMED_LEDGERS = {
     "knot-list": _ledger(facts=[_fact(knot=["K"])]),
     "delta-values-string": _ledger(facts=[_delta_seq(["x"])]),
     "delta-increasing": _ledger(facts=[_delta_seq([1, 5])]),
+    "q-above-limit": _ledger(facts=[_fact(kind="sigma_q", q=1009, value=-4)]),
+    "q-huge-prime": _ledger(facts=[_fact(kind="sigma_q", q=2 ** 89 - 1, value=-4)]),
     "not-utf8": b'{"atoms": ["\xff\xfe"]}',
     "nested-too-deep": b"[" * 100_000,
 }

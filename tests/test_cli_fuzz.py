@@ -12,7 +12,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotconc.cli import main
+from knotconc.cli import MAX_Q, main
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -150,3 +150,91 @@ def ledger_path(tmp_path_factory):
 def test_fuzz_ledger_file(ledger_path, data, q):
     ledger_path.write_bytes(data)
     check(["theta", "--ledger", str(ledger_path), "--expr", "K", "--q", q])
+
+
+# -- ledger facts at primes far above MAX_Q ------------------------------------
+
+LARGE_Q_FACTS = st.fixed_dictionaries(
+    {"knot": st.sampled_from(["K", "-K"]),
+     "kind": st.sampled_from(["sigma_q", "lt_signature", "delta_seq", "ell_q", "l_space",
+                              "delta_q_jabuka"]),
+     "value": st.sampled_from([-4, 0, 2, True, {"values": [], "stable": 1}]),
+     "q": st.sampled_from([97, 101, 1009, 10007, 2 ** 61 - 1, 2 ** 89 - 1, 10 ** 40])},
+    optional={"j": st.sampled_from([1, 2, 96])},
+)
+
+
+@FUZZ
+@given(facts=st.lists(LARGE_Q_FACTS, min_size=1, max_size=2), q=Q)
+def test_fuzz_ledger_large_q(ledger_path, facts, q):
+    ledger_path.write_text(json.dumps({"atoms": [TREFOIL], "facts": facts}))
+    code = check(["theta", "--ledger", str(ledger_path), "--expr", "K", "--q", q])
+    if any(f["q"] > MAX_Q for f in facts):
+        assert code == 2
+
+
+# -- theta-m, genus-bound, branch-cover ------------------------------------------
+
+SMALL_INTS = st.integers(-6, 12).map(str)
+NUMBERS = st.one_of(
+    SMALL_INTS, st.sampled_from(["", "x", "1.5", "-", str(2 ** 89 - 1), "9" * 5000]),
+)
+
+
+def argv(command, required, optional):
+    """argv for one command: each option's value is drawn from its strategy,
+    a None value stands for a bare flag, and the optional ones may be left
+    out."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda opts: [command] + [x for k, v in opts.items()
+                                  for x in ((k,) if v is None else (k, v))])
+
+
+COMMON = {"--q": st.one_of(Q, NUMBERS), "--json": st.none()}
+THETA_M = argv("theta-m", {"--expr": EXPRS, "--m": NUMBERS},
+               {**COMMON, "--quiet": st.none()})
+
+
+@st.composite
+def rank_and_class(draw):
+    """--rank and --class, mostly a class of that rank divisible by 2, 3 or 6,
+    so that the theorem hypotheses often hold."""
+    coords = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+    scale = draw(st.sampled_from([1, 2, 3, 6]))
+    rank = draw(st.one_of(st.just(str(len(coords))), st.integers(-1, 5).map(str), NUMBERS))
+    cls = draw(st.one_of(st.just(",".join(str(scale * c) for c in coords)),
+                         st.text(max_size=6)))
+    return ["--rank", rank, "--class", cls]
+
+
+GENUS_BOUND = st.tuples(
+    argv("genus-bound",
+         {"--expr": st.one_of(st.sampled_from(ATOM_NAMES + ["T(3,13)", "T(3,7) + T(2,3)"]),
+                              SUMS)},
+         {**COMMON, "--compare": st.none()}),
+    rank_and_class(),
+).map(lambda parts: parts[0] + parts[1])
+BRANCH_COVER = argv(
+    "branch-cover",
+    {"--b2x": SMALL_INTS, "--sigmax": SMALL_INTS, "--genus": SMALL_INTS,
+     "--sigq-out": NUMBERS},
+    {**COMMON, "--self-int": NUMBERS, "--sigq-in": SMALL_INTS},
+)
+
+
+@FUZZ
+@given(args=THETA_M)
+def test_fuzz_theta_m(args):
+    check(args)
+
+
+@FUZZ
+@given(args=GENUS_BOUND)
+def test_fuzz_genus_bound(args):
+    check(args)
+
+
+@FUZZ
+@given(args=BRANCH_COVER)
+def test_fuzz_branch_cover(args):
+    check(args)

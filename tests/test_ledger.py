@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from knotconc.knots import parse_expression
+from knotconc.knots import parse_expression, signed_atoms
 from knotconc.ledger import (
     LedgerError,
     ledger_from_json,
@@ -158,12 +158,19 @@ def test_signature_fact_must_match_matrix():
         ledger_from_json(minimal(facts=[
             {"knot": "-K", "kind": "sigma_q", "q": 3, "value": -4, "provenance": "t"},
         ]))
+    # a fact about -K is checked by negating K's signature
+    for kind, extra in (("lt_signature", {"q": 5, "j": 2}), ("sigma", {})):
+        with pytest.raises(LedgerError, match="disagrees"):
+            ledger_from_json(minimal(facts=[
+                {"knot": "-K", "kind": kind, "value": -2, "provenance": "t", **extra},
+            ]))
     L = ledger_from_json(minimal(facts=[
         {"knot": "K", "kind": "sigma", "value": -2, "provenance": "t"},
         {"knot": "-K", "kind": "sigma_q", "q": 3, "value": 4, "provenance": "t"},
         {"knot": "K", "kind": "lt_signature", "q": 5, "j": 2, "value": -2, "provenance": "t"},
+        {"knot": "-K", "kind": "lt_signature", "q": 5, "j": 2, "value": 2, "provenance": "t"},
     ]))
-    assert len(L.facts) == 3
+    assert len(L.facts) == 4
 
 
 def test_relation_with_unknown_atom_rejected():
@@ -187,13 +194,60 @@ def test_sigma_q_from_seifert_matrix():
     assert L.sigma_q_expr(parse_expression("K + -K"), 3) == 0
 
 
+def _summed(L, text, kind, q=None):
+    """An additive quantity of a formal sum: ``Ledger.quantity`` summed over
+    its summands, None if one of them lacks it."""
+    total = 0
+    for name, mirrored in signed_atoms(parse_expression(text)):
+        v = L.quantity(name, kind, mirror=mirrored, q=q)[0]
+        if v is None:
+            return None
+        total += v
+    return total
+
+
 def test_additive_lookups():
     L = load_seed_ledger()
-    e = parse_expression("-9_42 + Wh(T(2,3))")
-    assert L.sigma_q_expr(e, 2) == -2
-    assert L.additive_expr(e, "delta_MO") == 1 - 4
-    assert L.genus_upper_expr(e) == 2
-    assert L.unknotting_upper_expr(e) == 2
-    assert L.is_slice_expr(parse_expression("unknot + 9_46"))
-    assert not L.is_slice_expr(e)
-    assert L.additive_expr(parse_expression("T(3,7) + 8_19"), "tau") is None
+    e = "-9_42 + Wh(T(2,3))"
+    assert L.sigma_q_expr(parse_expression(e), 2) == -2
+    assert _summed(L, e, "delta_MO") == 1 - 4
+    assert _summed(L, e, "g4") == 2
+    assert _summed(L, e, "unknotting_upper") == 2
+    assert all(L.quantity(name, "slice")[0] is True for name in ("unknot", "9_46"))
+    assert not all(L.quantity(name, "slice", mirror=m)[0] is True
+                   for name, m in signed_atoms(parse_expression(e)))
+    assert _summed(L, "T(3,7) + 8_19", "tau") is None
+
+
+def test_quantity_fallbacks_and_citations():
+    def fact(knot, kind, value, **fields):
+        return {"knot": knot, "kind": kind, "value": value, "provenance": kind, **fields}
+
+    def cited(*args, **kwargs):
+        return [f.describe() for f in L.quantity(*args, **kwargs)[1]]
+
+    L = ledger_from_json(minimal(facts=[
+        fact("K", "g4_upper", 1),
+        fact("-K", "sigma", 2),
+        fact("K", "tau", 1),
+        fact("-K", "ell_q", -2, q=3),
+        fact("unknot", "g4", 0),
+        fact("unknot", "g4_upper", 0),
+    ]))
+    # g4 falls back to g4_upper; every kind tried cites its fact
+    assert L.quantity("K", "g4", mirror=True)[0] == 1
+    assert cited("K", "g4", mirror=True) == ["g4_upper(K)"]
+    assert L.quantity("unknot", "g4")[0] == 0
+    assert cited("unknot", "g4") == ["g4(unknot)", "g4_upper(unknot)"]
+    # sigma_q at q = 2 falls back to sigma, served from the other side
+    assert L.quantity("K", "sigma_q", q=2)[0] == -2
+    assert cited("K", "sigma_q", q=2) == ["sigma(-K)"]
+    # then to the Seifert matrix, which cites no fact
+    assert L.quantity("K", "sigma_q", mirror=True, q=3) == (4, [])
+    # q is dropped for a kind that does not take one
+    assert L.quantity("K", "tau", mirror=True, q=3)[0] == -1
+    assert cited("K", "tau", mirror=True, q=3) == ["tau(K)"]
+    # no value, no citation: ell_q does not pass to the other side
+    assert L.quantity("K", "ell_q", q=3) == (None, [])
+    assert L.quantity("K", "ell_q", mirror=True, q=3)[0] == -2
+    assert L.quantity("unknot", "tau") == (None, [])

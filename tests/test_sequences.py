@@ -8,12 +8,12 @@ from knotconc.sequences import (
     DeltaUpperBound,
     InconsistentDataError,
     SequenceError,
+    XiSequence,
     crossing_change_j_bounds,
     crossing_change_shifts,
     ell_lower_bound,
     j_value,
     j_value_m,
-    rho_vanishing_index,
     sum_delta_upper,
     theta,
     theta_from_mirror_delta,
@@ -176,6 +176,21 @@ def test_theta_m_non_increasing_in_m_random():
             if prev is not None:
                 assert v <= prev
             prev = v
+
+
+def rho_vanishing_index(xi_mirror: XiSequence, sigma_K: int) -> int:
+    """theta(K) for q = 2 via the shifted sequence rho_j(-K) = xi_{j + sigma(K)/2}(-K),
+    extended by xi_j = xi_0 for j < 0; returns the least j >= 0 with rho_j = 0."""
+    if sigma_K % 2 != 0:
+        raise InconsistentDataError(f"sigma must be even, got {sigma_K}")
+    if xi_mirror.stable != 0:
+        raise InconsistentDataError("xi sequence never vanishes")
+    shift = sigma_K // 2
+    j = 0
+    while True:
+        if xi_mirror.value_at(j + shift) == 0:
+            return j
+        j += 1
 
 
 def test_rho_shift_equals_max_form_random():
