@@ -17,7 +17,7 @@ from .definite import (
 )
 from .infer import BoundInterval, LedgerInconsistentError, infer_theta, infer_theta_m
 from .knots import Atom, Mirror, Sum, expr_to_string, normalize, parse_expression
-from .ledger import Fact, KnotAtom, Ledger, load_ledger, load_seed_ledger, write_ledger
+from .ledger import Fact, KnotAtom, Ledger, load_ledger, load_seed_ledger
 from .seifert import SeifertMatrix, two_strand_torus_matrix
 from .sequences import (
     DeltaSequence,
@@ -51,5 +51,5 @@ __all__ = [
     "load_ledger", "load_seed_ledger", "lt_signature", "lt_signatures", "normalize",
     "parse_expression", "sigma_q", "signature", "sum_delta_upper", "theta",
     "theta_from_mirror_delta", "theta_m", "torus_delta_sequence",
-    "two_strand_torus_matrix", "write_ledger", "xi_sequence",
+    "two_strand_torus_matrix", "xi_sequence",
 ]

@@ -20,20 +20,22 @@ doubling, tau(a)...tau^(2m)(a) = P * tau^m(P) with P = tau(a)...tau^m(a),
 in about 2 log2(q) integer multiplications and no polynomial division.
 
 Sign determination for real elements (those fixed by conjugation) embeds
-zeta at exp(2*pi*i/q) and evaluates with interval arithmetic at increasing
-precision until the enclosure excludes zero.  This terminates for every
-nonzero real element, so no numerical tolerance ever enters a result.  The
-enclosures of cos(2*pi*k/q) are computed once per (q, precision) and cached.
+zeta at exp(2*pi*i/q) and evaluates with integer fixed-point enclosures: each
+cos(2*pi*k/q) is an integer within 1 of its value times 2^prec, so the
+integer sum of the coefficients against them lies within a known bound of
+the element times 2^prec.  The precision doubles until the sum clears that
+bound.  This terminates for every nonzero real element, so no numerical
+tolerance ever enters a result.  The table of cosines is computed once per
+(q, precision) and cached.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
-
-from mpmath.ctx_iv import MPIntervalContext
 
 _SIGN_START_PREC = 64
 _SIGN_MAX_PREC = 1 << 15
@@ -261,27 +263,24 @@ class Cyclotomic:
         """Sign (-1, 0, +1) of a real element under zeta -> exp(2*pi*i/q).
 
         Zero is decided exactly from the coefficients.  Otherwise the real
-        embedding sum(c_k * cos(2*pi*k/q)) is enclosed with mpmath interval
-        arithmetic, doubling the working precision until the interval
-        excludes zero.  The sign at zeta -> exp(2*pi*i*j/q) is
+        embedding sum(c_k * cos(2*pi*k/q)) is bounded by integer fixed-point
+        enclosures: with a_k = den * c_k and C_k from ``_cosines``,
+        sum(a_k * C_k) is within sum_{k>=1} |a_k| of 2^prec * den * self,
+        and den > 0.  Its sign is
+        returned once it clears twice that bound; until then the precision
+        doubles.  The sign at zeta -> exp(2*pi*i*j/q) is
         ``self.galois(j).sign()``.
         """
         if self.is_zero():
             return 0
         if not self.is_real():
             raise CyclotomicError("sign requested for a non-real element")
+        slack = 2 * sum(map(abs, self.num[1:]))
         prec = _SIGN_START_PREC
         while prec <= _SIGN_MAX_PREC:
-            iv, cosines = _cos_enclosures(self.q, prec)
-            total = iv.mpf(0)
-            for a, c in zip(self.num, cosines):
-                if a:
-                    total += iv.mpf(a) * c
-            total /= iv.mpf(self.den)
-            if total > 0:
-                return 1
-            if total < 0:
-                return -1
+            total = sum(map(operator.mul, self.num, _cosines(self.q, prec)))
+            if abs(total) > slack:
+                return 1 if total > 0 else -1
             prec *= 2
         raise CyclotomicError(
             "could not certify the sign of a nonzero real element "
@@ -295,19 +294,68 @@ def _generator(q: int) -> int:
     return next(g for g in range(1, q) if len({pow(g, k, q) for k in range(q - 1)}) == q - 1)
 
 
-@lru_cache(maxsize=16)
-def _interval_context(prec: int) -> MPIntervalContext:
-    iv = MPIntervalContext()
-    iv.prec = prec
-    return iv
+def _atan_inv(x: int, w: int) -> int:
+    """2^w * atan(1/x) for an integer x >= 5, to within w/4 + 2 (see
+    ``_cosines``)."""
+    total, power, n, sign = 0, (1 << w) // x, 1, 1
+    while power:
+        total += sign * (power // n)
+        power //= x * x
+        n += 2
+        sign = -sign
+    return total
 
 
 @lru_cache(maxsize=64)
-def _cos_enclosures(q: int, prec: int):
-    """An interval context at ``prec`` bits and enclosures of cos(2*pi*k/q)
-    for k = 0..q-2.  The context is shared by every caller (threads too), so
-    nothing may set its precision after it is made."""
-    iv = _interval_context(prec)
-    two_pi = 2 * iv.pi
-    return iv, tuple(iv.cos(two_pi * k / q) for k in range(q - 1))
+def _cosines(q: int, prec: int) -> tuple[int, ...]:
+    """Integers C_k, k = 0..q-2, with |C_k - 2^prec * cos(2*pi*k/q)| <= 1
+    and C_0 = 2^prec exactly.
 
+    Proof of the bound.  Work in fixed point at w = prec + 64 bits, S = 2^w;
+    an error "in units" is an absolute error times S, for complex values its
+    modulus.  Every truncation below is one floor division, off by less than
+    1 unit, and floor(floor(a / b) / c) = floor(a / (b c)) for integers
+    b, c > 0, so chained floors cost one unit, not two.
+
+    * pi = 16 atan(1/5) - 4 atan(1/239) (Machin).  ``_atan_inv`` sums the
+      alternating series of 2^w atan(1/x) while floor(S / x^(2n+1)) > 0,
+      which is at most w/4 + 1 terms for x >= 5.  Each term is below its
+      exact value by less than 1, and the omitted tail, an alternating
+      series of decreasing terms, is below its first term, itself below 1.
+      So P is within 16 (w/4 + 2) + 4 (w/4 + 2) = 5w + 40 units of S pi.
+    * T = floor(2P / q) is within (10w + 80)/q + 1 < 4w + 28 units of
+      S * 2 pi / q (q >= 3; for q = 2 only the exact C_0 is returned).  As
+      |exp(ia) - exp(ib)| <= |a - b|, exp(i T / S) is as close to zeta.
+    * The Taylor terms t_0 = S, t_n = floor(t_(n-1) T / (n S)) of
+      exp(i T / S) stop at the first t_n = 0.  With theta = T/S < 2.1, the
+      exact terms tau_n = S theta^n / n! satisfy 0 <= tau_n - t_n = e_n,
+      e_1 = 0 and e_n < e_(n-1) theta / n + 1, so e_n < 10/3 (theta/n < 0.7
+      for n >= 3).  Since 4.2^n <= n! for n >= 12, tau_n <= S 2^(-n), so
+      at most w + 1 terms are taken; the first omitted term is tau_N = e_N,
+      and the tail from it is below (10/3)/(1 - 0.7) < 12.  So Z, the sum of
+      i^n t_n, is within (10/3)(w + 1) + 12 < 4w units of exp(i T / S), and
+      within 8w + 28 < 9w units of S zeta.
+    * Z_k = floor(Z_(k-1) Z / S) componentwise.  With E_k the error of Z_k
+      and eps = 9w / S, E_k < E_(k-1) (1 + eps) + 9w + 2, so
+      E_k < k (9w + 2)(1 + eps)^k < 20 k w while k eps < 1/2.
+    * C_k rounds Re Z_k to the nearest multiple of 2^64 and drops those 64
+      bits: |C_k - 2^prec cos(2 pi k / q)| <= E_k / 2^64 + 1/2 <= 1 when
+      20 k w <= 2^63.  Here prec <= 2^15, so w < 2^16, and k < q, which is
+      far below 2^40 in any process (an element stores q - 1 integers).
+    """
+    w = prec + 64
+    S = 1 << w
+    pi = 16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)
+    theta = 2 * pi // q
+    parts, t, n = [0, 0, 0, 0], S, 0  # the terms at i^0, i^1, i^2, i^3
+    while t:
+        parts[n % 4] += t
+        n += 1
+        t = (t * theta >> w) // n
+    x, y = parts[0] - parts[2], parts[1] - parts[3]
+    out = [1 << prec]
+    zx, zy = x, y
+    for _ in range(1, q - 1):
+        out.append((zx + (1 << 63)) >> 64)
+        zx, zy = (zx * x - zy * y) >> w, (zx * y + zy * x) >> w
+    return tuple(out)

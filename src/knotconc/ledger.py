@@ -452,12 +452,6 @@ def ledger_to_json(ledger: Ledger) -> dict:
     return {"atoms": atoms, "facts": facts, "relations": relations}
 
 
-def write_ledger(ledger: Ledger, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ledger_to_json(ledger), fh, indent=1)
-        fh.write("\n")
-
-
 def seed_ledger_text() -> str:
     return resources.files("knotconc").joinpath("data/seed_ledger.json").read_text("utf-8")
 

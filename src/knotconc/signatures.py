@@ -10,8 +10,8 @@ We evaluate it exactly.  The form H(zeta) at the generator zeta of the
 cyclotomic field Q(zeta_q) is diagonalized by congruence over that field
 (symmetric Gaussian elimination, with the usual off-diagonal pivot trick
 when every remaining diagonal entry vanishes).  Each pivot is a nonzero real
-element of the field whose sign is certified by interval arithmetic.  No
-floating point number ever decides a signature.
+element of the field whose sign is certified by integer fixed-point
+enclosures.  No floating point number ever decides a signature.
 
 One elimination serves every root.  V is rational, so H(zeta^j) is the
 Galois conjugate sigma_j(H(zeta)) entry by entry, where sigma_j: zeta ->

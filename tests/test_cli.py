@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from knotconc.cli import MAX_Q, main
+from knotconc.ledger import seed_ledger_text
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -161,6 +163,28 @@ def test_reproduce_full_reports_known_failures(capsys):
     assert "29/31 checks passed" in out
 
 
+def test_reproduce_partial_ledger_names_missing_atoms(tmp_path, capsys):
+    # a ledger of only the seed's T(2,k) atoms, their facts and the
+    # relations between them: every check that needs another atom fails
+    # and names it
+    seed = json.loads(seed_ledger_text())
+    keep = {a["name"] for a in seed["atoms"] if a["name"].startswith("T(2,")}
+    path = tmp_path / "t2k.json"
+    path.write_text(json.dumps({
+        "atoms": [a for a in seed["atoms"] if a["name"] in keep],
+        "facts": [f for f in seed["facts"] if f["knot"].lstrip("-") in keep],
+        "relations": [r for r in seed["relations"] if {r["plus"], r["minus"]} <= keep],
+    }))
+    code, out, _ = run(capsys, "reproduce", "--ledger", str(path))
+    lines = out.splitlines()
+    assert code == 3 and lines[-1] == "18/31 checks passed"
+    got = [lines[i + 1] for i, line in enumerate(lines) if line.startswith("FAIL")]
+    assert len(got) == 13
+    for line in got:
+        missing = re.fullmatch(r"\s+got:\s+error: unknown knot atom '(.+)'", line)
+        assert missing and missing[1] not in keep, line
+
+
 def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, "infer", "--expr", "-(9_42) + Wh(T(2,3))")
     _, out2, _ = run(capsys, "infer", "--expr", "-(9_42) + Wh(T(2,3))")
@@ -203,6 +227,20 @@ def test_python_m_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "sigma^(3) = -4" in proc.stdout.splitlines()
+
+
+def test_cli_imports_only_the_standard_library():
+    # modules a site hook loads at interpreter start are not the package's,
+    # so only those that importing knotconc.cli adds are checked
+    code = ("import sys; before = set(sys.modules); import knotconc.cli; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "knotconc" in loaded
+    assert [m for m in loaded if m != "knotconc" and m not in sys.stdlib_module_names] == []
 
 
 def test_engine_error_exit_2(capsys):

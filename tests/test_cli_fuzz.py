@@ -50,7 +50,8 @@ EXPRS = st.one_of(
 @FUZZ
 @given(expr=EXPRS, q=Q)
 def test_fuzz_theta_expr(expr, q):
-    check(["theta", "--expr", expr, "--q", q])
+    for command in ("theta", "infer"):
+        check([command, "--expr", expr, "--q", q])
 
 
 # -- sig --matrix --------------------------------------------------------------

@@ -41,9 +41,9 @@ def test_concurrent_signatures_match_serial():
 
 
 def test_concurrent_sigma_q_over_shared_cosine_cache():
-    # sign() reads its interval context and cos enclosures from a cache
-    # shared by all threads; clearing it first makes the threads fill it
-    # while others read it, at every precision the escalation reaches
+    # sign() reads its table of cosines from a cache shared by all threads;
+    # clearing it first makes the threads fill it while others read it, at
+    # every precision the escalation reaches
     rng = random.Random(36)
     jobs = [(random_seifert(rng, rng.randint(1, 3), span=9, zero_diagonal=i % 4 == 0), q)
             for i in range(6) for q in (2, 3, 5, 7, 11)]
@@ -54,8 +54,7 @@ def test_concurrent_sigma_q_over_shared_cosine_cache():
     close = [x - Cyclotomic.from_rational(5, Fraction(fib[n], fib[n + 1]))
              for n in range(100, 120)]
     serial = [sigma_q(V, q) for V, q in jobs] + [d.sign() for d in close]
-    cyclotomic._cos_enclosures.cache_clear()
-    cyclotomic._interval_context.cache_clear()
+    cyclotomic._cosines.cache_clear()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -1,10 +1,11 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from knotconc.cyclotomic import Cyclotomic, CyclotomicError, is_prime
+from knotconc.cyclotomic import Cyclotomic, CyclotomicError, _cosines, is_prime
 
 
 def random_element(rng, q, span=6):
@@ -102,16 +103,47 @@ def test_galois_is_a_ring_map_fixing_the_reals():
         Cyclotomic.one(5).galois(10)
 
 
+PRECS = (64, 1024)
+
+
+def test_cosines_third_root_of_unity():
+    # cos(2*pi/3) = -1/2 exactly
+    for prec in PRECS:
+        assert abs(_cosines(3, prec)[1] + (1 << (prec - 1))) <= 1
+
+
+def test_cosines_fifth_root_of_unity():
+    # 4 * 2^prec * cos(2*pi/5) = sqrt(5) 2^prec - 2^prec, and isqrt pins
+    # sqrt(5) 2^prec to [s, s + 1)
+    for prec in PRECS:
+        s = math.isqrt(5 * 4 ** prec)
+        c = _cosines(5, prec)[1]
+        assert s - (1 << prec) - 4 <= 4 * c < s + 1 - (1 << prec) + 4
+
+
+def test_cosines_sum_of_roots_of_unity_vanishes():
+    # 1 + 2 * sum_{k=1}^{(q-1)/2} cos(2*pi*k/q) = 0 for odd q, and each C_k
+    # is within 1 of 2^prec cos(2*pi*k/q), C_0 exactly 2^prec
+    for q in range(3, 98):
+        if not is_prime(q):
+            continue
+        for prec in PRECS:
+            c = _cosines(q, prec)
+            assert len(c) == q - 1 and c[0] == 1 << prec
+            assert abs(c[0] + 2 * sum(c[1:(q + 1) // 2])) <= q
+
+
 def test_sign_escalates_precision():
     # 2cos(2*pi/5) = (sqrt(5) - 1)/2 is approached by F(n)/F(n+1) from
     # alternating sides, within about 1/F(n+1)^2: the sign of the difference
-    # needs well over 64 bits once F(n+1) passes 2^32.
+    # needs well over 64 bits once F(n+1) passes 2^32, and 2048 bits at
+    # n = 800, where F(n+1) is about 2^555.
     z = Cyclotomic.zeta_power(5, 1)
     x = z + z.conjugate()
     fib = [0, 1]
-    while len(fib) < 120:
+    while len(fib) < 803:
         fib.append(fib[-1] + fib[-2])
-    for n in (10, 60, 61, 118):
+    for n in (10, 60, 61, 118, 800, 801):
         d = x - Cyclotomic.from_rational(5, Fraction(fib[n], fib[n + 1]))
         assert d.sign() == (1 if n % 2 == 0 else -1)
 

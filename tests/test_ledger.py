@@ -9,7 +9,6 @@ from knotconc.ledger import (
     ledger_to_json,
     load_ledger,
     load_seed_ledger,
-    write_ledger,
 )
 from knotconc.sequences import DeltaSequence
 
@@ -40,15 +39,6 @@ def test_schema_round_trip():
     assert [(r.plus, r.minus) for r in L2.relations] == [
         (r.plus, r.minus) for r in L.relations
     ]
-
-
-def test_write_and_load_round_trip(tmp_path):
-    L = load_seed_ledger()
-    path = tmp_path / "ledger.json"
-    write_ledger(L, path)
-    L2 = load_ledger(path)
-    assert L2.facts == L.facts
-    assert set(L2.atoms) == set(L.atoms)
 
 
 def test_simple_file_round_trip(tmp_path):
