@@ -55,10 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _frac_json(x):
     if x is None:
         return None
@@ -102,11 +98,11 @@ def _emit(args, human_lines, json_obj) -> None:
 def _interval_lines(iv: BoundInterval, verbose: bool) -> list[str]:
     lines = []
     if iv.exact:
-        lines.append(f"theta = {_frac_str(iv.value)}")
+        lines.append(f"theta = {iv.value}")
     elif iv.upper is None:
-        lines.append(f"theta >= {_frac_str(iv.lower)} (no upper bound derivable)")
+        lines.append(f"theta >= {iv.lower} (no upper bound derivable)")
     else:
-        lines.append(f"theta in [{_frac_str(iv.lower)}, {_frac_str(iv.upper)}]")
+        lines.append(f"theta in [{iv.lower}, {iv.upper}]")
     if verbose:
         lines.append("derivation:")
         lines += [f"  {line}" for line in iv.justification]
@@ -245,7 +241,7 @@ def _cmd_genus_bound(args) -> int:
         f"genus bound for {expr_to_string(expr)} in class {list(a.coords)} "
         f"(rank {args.rank}, q = {q}):",
         f"  m = {bound.m}, a^2 = {bound.a_square}",
-        f"  g >= {_frac_str(bound.value)} "
+        f"  g >= {bound.value} "
         f"({'exact theta' if bound.exact_theta else 'theta interval lower end'})",
     ]
     obj = {
@@ -263,7 +259,7 @@ def _cmd_genus_bound(args) -> int:
         c = compare_bounds(n, x.coords, args.rank)
         lines.append("four-bound comparison (theta, tau, sig1, sig2):")
         lines.append(
-            f"  theta: {_frac_str(c.theta_bound)}   tau: {c.tau_bound}   "
+            f"  theta: {c.theta_bound}   tau: {c.tau_bound}   "
             f"sig1: {c.sig1_bound}   sig2: {c.sig2_bound}"
         )
         obj["comparison"] = {
@@ -395,10 +391,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """``--expr X`` as ``--expr=X``, and so for ``--class``: argparse would
+    read a value starting with "-" (a mirror image, a negative coordinate)
+    as an option."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in ("--expr", "--class") else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return USAGE_ERROR

@@ -502,11 +502,9 @@ def infer_theta_m(ledger: Ledger, expr: KnotExpression, q: int, m: int) -> Bound
         if cand > lower:
             lower = cand
             just.append(f"signature lower bound holds for every m: >= {cand}")
-    if len(query) == 1:
-        name, mirrored = query[0]
-        f = ledger.fact(name, "ell_q", mirror=not mirrored, q=q)
-        if f is not None and sigq is not None:
-            cand = ell_lower_bound(q, f.value, sigq, m)
+        ell = engine.ledger_bounds.ell_mirror(query)
+        if ell is not None:
+            cand = ell_lower_bound(q, ell, sigq, m)
             if cand > lower:
                 lower = cand
                 just.append(f"HF+ degree bound with m = {m}: >= {cand}")

@@ -90,10 +90,6 @@ def normalize(expr: KnotExpression) -> KnotExpression:
     return from_signed_atoms(signed_atoms(expr))
 
 
-def mirror(expr: KnotExpression) -> KnotExpression:
-    return normalize(Mirror(expr))
-
-
 def expr_to_string(expr: KnotExpression) -> str:
     parts = []
     for name, mirrored in signed_atoms(normalize(expr)):

@@ -24,11 +24,14 @@ whether it is parameterized by a prime (a "q" field, at most
 under mirroring: signatures and the concordance homomorphisms (tau, s, delta
 variants) change sign, genus, unknotting and family data are
 mirror-invariant, and delta sequences / ell values are served only for the
-exact side they were ingested for.
+exact side they were ingested for.  Exact values ingested for both sides
+must agree under that rule; bounds (g4_upper, g4_lower, unknotting_upper)
+may differ.
 
 ``Ledger.quantity`` is the one lookup of an atom's quantity: it applies the
-mirror rule, the fallbacks (g4 to g4_upper; sigma_q to sigma at q = 2 and
-then to the Seifert matrix) and returns the facts to cite with the value.
+mirror rule and the fallbacks (g4 to g4_upper; sigma_q to sigma at q = 2 and
+then to the Seifert matrix) and returns the value with the one fact it was
+read from.
 """
 
 from __future__ import annotations
@@ -77,7 +80,10 @@ _KINDS: dict[str, tuple[type, bool, int]] = {
     "l_space": (bool, True, 1),
     "delta_seq": (DeltaSequence, True, 0),
 }
-_NONNEGATIVE = {"g4", "g4_upper", "g4_lower", "unknotting_upper"}
+# kinds whose value bounds the invariant rather than giving it; the two sides
+# of a knot may carry different bounds
+_BOUNDS = {"g4_upper", "g4_lower", "unknotting_upper"}
+_NONNEGATIVE = {"g4", *_BOUNDS}
 
 FactValue = Union[int, bool, DeltaSequence]
 
@@ -106,6 +112,12 @@ class Fact:
         qpart = f", q={self.q}" if self.q is not None else ""
         return f"{self.kind}({side}{qpart})"
 
+    def mirror_value(self) -> Optional[FactValue]:
+        """What the fact gives for the other side of its knot under its
+        kind's mirror rule; None for a kind served for one side only."""
+        rule = _KINDS[self.kind][2]
+        return None if rule == 0 else self.value if rule == 1 else -self.value
+
 
 @dataclass(frozen=True)
 class CrossingRelation:
@@ -127,62 +139,41 @@ class Ledger:
              q: Optional[int] = None, j: Optional[int] = None) -> Optional[Fact]:
         return self.facts.get((name, mirror, kind, q, j))
 
-    def atom_value(self, name: str, kind: str, mirror: bool = False,
-                   q: Optional[int] = None) -> Optional[FactValue]:
-        """Fact value for an atom or its mirror, using mirror symmetry of the
-        kind when only the other side was ingested."""
-        f = self.fact(name, kind, mirror=mirror, q=q)
-        if f is not None:
-            return f.value
-        other = self.fact(name, kind, mirror=not mirror, q=q)
-        if other is None:
-            return None
-        rule = _KINDS[kind][2]
-        if rule == -1:
-            return -other.value
-        return other.value if rule == 1 else None
-
     def quantity(self, name: str, kind: str, mirror: bool = False,
                  q: Optional[int] = None) -> tuple[Optional[FactValue], list[Fact]]:
-        """The value of ``kind`` for an atom or its mirror, and the facts to
-        cite for it.
+        """The value of ``kind`` for an atom or its mirror, and the one fact
+        it was read from.
 
-        g4 falls back to g4_upper, sigma_q to sigma at q = 2 and then to the
-        atom's Seifert matrix.  q is dropped for kinds that do not take one.
-        With a value, every kind tried cites its fact for this side, or else
-        for the other; without one, nothing is cited.
+        The kinds are tried in turn: g4 then g4_upper; sigma_q, then sigma
+        at q = 2, then the atom's Seifert matrix, which cites no fact.  For
+        each kind this side's fact is read, or else the other side's under
+        the kind's mirror rule.  q is dropped for kinds that do not take one.
+        Without a value, nothing is cited.
         """
         kinds = [kind]
         if kind == "g4":
             kinds.append("g4_upper")
         elif kind == "sigma_q" and q == 2:
             kinds.append("sigma")
-        keys = [(k, q if _KINDS[k][1] else None) for k in kinds]
-        value = None
-        for k, kq in keys:
-            value = self.atom_value(name, k, mirror=mirror, q=kq)
-            if value is not None:
-                break
-        if value is None and kind == "sigma_q":
-            atom = self.atoms.get(name)
-            if atom is not None and atom.seifert is not None:
-                value = _sigma_q_of_matrix(atom.seifert.rows, q)
-                value = -value if mirror else value
-        if value is None:
-            return None, []
-        cited = [self.fact(name, k, mirror=mirror, q=kq)
-                 or self.fact(name, k, mirror=not mirror, q=kq) for k, kq in keys]
-        return value, [f for f in cited if f is not None]
-
-    def sigma_q_atom(self, name: str, q: int, mirror: bool = False) -> Optional[int]:
-        """sigma^(q) of an atom or its mirror (see ``quantity``)."""
-        return self.quantity(name, "sigma_q", mirror=mirror, q=q)[0]
+        for k in kinds:
+            kq = q if _KINDS[k][1] else None
+            f = self.fact(name, k, mirror=mirror, q=kq)
+            if f is not None:
+                return f.value, [f]
+            f = self.fact(name, k, mirror=not mirror, q=kq)
+            if f is not None and f.mirror_value() is not None:
+                return f.mirror_value(), [f]
+        atom = self.atoms.get(name)
+        if kind == "sigma_q" and atom is not None and atom.seifert is not None:
+            value = _sigma_q_of_matrix(atom.seifert.rows, q)
+            return (-value if mirror else value), []
+        return None, []
 
     def sigma_q_expr(self, expr: KnotExpression, q: int) -> Optional[int]:
         """sigma^(q) of a formal sum, by additivity over summands."""
         total = 0
         for name, mirrored in signed_atoms(expr):
-            v = self.sigma_q_atom(name, q, mirror=mirrored)
+            v = self.quantity(name, "sigma_q", mirror=mirrored, q=q)[0]
             if v is None:
                 return None
             total += v
@@ -325,7 +316,7 @@ def _check_cross_facts(ledger: Ledger) -> None:
     for f in ledger.facts.values():
         if f.kind != "delta_seq":
             continue
-        sigq = ledger.sigma_q_atom(f.knot, f.q, mirror=f.mirror)
+        sigq = ledger.quantity(f.knot, "sigma_q", mirror=f.mirror, q=f.q)[0]
         if sigq is None:
             continue
         seq: DeltaSequence = f.value
@@ -385,6 +376,12 @@ def ledger_from_json(data: dict) -> Ledger:
         f = _fact_from_json(obj, atoms)
         if f.key() in facts:
             raise LedgerError(f"duplicate fact {f.describe()}")
+        # exact values ingested for both sides must agree under the mirror rule
+        other = facts.get((f.knot, not f.mirror, f.kind, f.q, f.j))
+        if (other is not None and f.kind not in _BOUNDS and f.mirror_value() is not None
+                and f.mirror_value() != other.value):
+            raise LedgerError(f"{other.describe()} = {other.value} and {f.describe()} = "
+                              f"{f.value} disagree under mirroring")
         facts[f.key()] = f
 
     relations = []

@@ -14,8 +14,9 @@ never a bound the engine derived, so the engine applies them once per key:
                              exactly through the j-scan
 
 The same object reduces a query to its concordance class and serves the
-ledger quantities the engine's other rules need.  Every ledger fact it
-consults is recorded in ``provenance``.
+ledger quantities the engine's other rules need.  It reads the ledger only
+through ``Ledger.quantity`` and records in ``provenance`` the fact behind
+each value it uses.
 """
 
 from __future__ import annotations
@@ -38,15 +39,16 @@ class LedgerBounds:
         self.ledger = ledger
         self.q = q
         self.provenance: dict[str, str] = {}
-        self._atom_values: dict[tuple[str, SignedAtom], Optional[int]] = {}
+        self._atom_quantities: dict[tuple[str, SignedAtom], Optional[int]] = {}
 
-    def _quantity(self, name: str, kind: str, mirror: bool = False,
-                  q: Optional[int] = None) -> Optional[FactValue]:
-        """Look up a ledger quantity of one atom, note the facts it cites,
-        and return its value."""
-        value, facts = self.ledger.quantity(name, kind, mirror=mirror, q=q)
-        for f in facts:
-            self.provenance[f.describe()] = f.provenance
+    def _quantity(self, name: str, kind: str, mirror: bool = False) -> Optional[FactValue]:
+        """A ledger quantity of one atom or its mirror at this q.  The fact
+        behind it is noted when the value is used: any value but None,
+        except that a flag is used only when it is True."""
+        value, facts = self.ledger.quantity(name, kind, mirror=mirror, q=self.q)
+        if value is not None and value is not False:
+            for f in facts:
+                self.provenance[f.describe()] = f.provenance
         return value
 
     # -- concordance reduction ---------------------------------------------
@@ -56,8 +58,7 @@ class LedgerBounds:
         the concordance class."""
         counts: Counter = Counter()
         for name, mirrored in signed_atoms(expr):
-            if self.ledger.atom_value(name, "slice", mirror=mirrored) is True:
-                self._quantity(name, "slice")
+            if self._quantity(name, "slice", mirrored) is True:
                 continue
             counts[(name, mirrored)] += 1
         for name in {n for n, _ in counts}:
@@ -88,10 +89,9 @@ class LedgerBounds:
         of a key on its own too."""
         total = 0
         for atom in key:
-            if (kind, atom) not in self._atom_values:
-                self._atom_values[(kind, atom)] = self._quantity(
-                    atom[0], kind, mirror=atom[1], q=self.q)
-            v = self._atom_values[(kind, atom)]
+            if (kind, atom) not in self._atom_quantities:
+                self._atom_quantities[(kind, atom)] = self._quantity(atom[0], kind, atom[1])
+            v = self._atom_quantities[(kind, atom)]
             if v is None:
                 return None
             total += v
@@ -114,21 +114,29 @@ class LedgerBounds:
         if len(key) != 1:
             return None
         name, mirrored = key[0]
-        f = self.ledger.fact(name, "delta_seq", mirror=not mirrored, q=self.q)
-        if f is not None:
-            self.provenance[f.describe()] = f.provenance
-            return f.value
-        flagged = False
-        if self.q == 2 and self.ledger.atom_value(name, "quasi_alternating") is True:
-            self._quantity(name, "quasi_alternating")
-            flagged = True
-        if self.ledger.atom_value(name, "l_space", q=self.q) is True:
-            self._quantity(name, "l_space", q=self.q)
-            flagged = True
-        if flagged:
-            sig_mirror = self.ledger.sigma_q_atom(name, self.q, mirror=not mirrored)
-            if sig_mirror is not None:
-                return DeltaSequence.constant(-sig_mirror // 2)
+        seq = self._quantity(name, "delta_seq", not mirrored)
+        if seq is not None:
+            return seq
+        sig_mirror = self.sigma_q(mirror_atoms(key))
+        if sig_mirror is None or self._closed_form(name) is None:
+            return None
+        return DeltaSequence.constant(-sig_mirror // 2)
+
+    def ell_mirror(self, key: Key) -> Optional[int]:
+        """ell^(q) of the mirror of a single-atom key."""
+        if len(key) != 1:
+            return None
+        name, mirrored = key[0]
+        return self._quantity(name, "ell_q", not mirrored)
+
+    def _closed_form(self, name: str) -> Optional[str]:
+        """The family whose closed form gives an atom's theta and delta
+        sequence: quasi-alternating at q = 2, else an L-space branched
+        cover; None for neither."""
+        if self.q == 2 and self._quantity(name, "quasi_alternating") is True:
+            return "quasi-alternating"
+        if self._quantity(name, "l_space") is True:
+            return "L-space"
         return None
 
     # -- rules ----------------------------------------------------------------
@@ -152,20 +160,12 @@ class LedgerBounds:
     def _r4(self, key: Key) -> list[Bound]:
         if len(key) != 1:
             return []
-        name, _ = key[0]
-        qa = self.q == 2 and self.ledger.atom_value(name, "quasi_alternating") is True
-        lsp = self.ledger.atom_value(name, "l_space", q=self.q) is True
-        if not (qa or lsp):
-            return []
         sigq = self.sigma_q(key)
-        if sigq is None:
+        family = None if sigq is None else self._closed_form(key[0][0])
+        if family is None:
             return []
-        self._quantity(name, "quasi_alternating")
-        if lsp:
-            self._quantity(name, "l_space", q=self.q)
         value = max(Fraction(0), Fraction(-sigq, 2 * (self.q - 1)))
-        why = ("R4 quasi-alternating closed form" if qa else "R4 L-space closed form")
-        return [(value, value, why)]
+        return [(value, value, f"R4 {family} closed form")]
 
     def _r5(self, key: Key) -> list[Bound]:
         sigq = self.sigma_q(key)
@@ -179,18 +179,12 @@ class LedgerBounds:
         return []
 
     def _r7(self, key: Key) -> list[Bound]:
-        if len(key) != 1:
-            return []
-        name, mirrored = key[0]
-        f = self.ledger.fact(name, "ell_q", mirror=not mirrored, q=self.q)
-        if f is None:
-            return []
         sigq = self.sigma_q(key)
-        if sigq is None:
+        ell = None if sigq is None else self.ell_mirror(key)
+        if ell is None:
             return []
-        self.provenance[f.describe()] = f.provenance
-        return [(ell_lower_bound(self.q, f.value, sigq, 0), None,
-                 f"R7 HF+ degree bound: ell^({self.q})(mirror) = {f.value}")]
+        return [(ell_lower_bound(self.q, ell, sigq, 0), None,
+                 f"R7 HF+ degree bound: ell^({self.q})(mirror) = {ell}")]
 
     def _r8(self, key: Key) -> list[Bound]:
         seq = self.mirror_delta_seq(key)

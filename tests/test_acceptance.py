@@ -112,7 +112,7 @@ def test_criterion_3_ell_bounds_q3():
         for e, want in ((-1, 3 * n - 1), (1, 3 * n)):
             k = 6 * n + e
             iv = infer_theta(ledger, parse_expression(f"T(2,{k})"), q=3)
-            g4 = ledger.atom_value(f"T(2,{k})", "g4")
+            g4 = ledger.quantity(f"T(2,{k})", "g4")[0]
             if not (iv.exact and iv.value == want == g4):
                 failures.append((f"T(2,{k})", iv.lower, iv.upper, g4))
     _report(3, "HF+ degree bounds pin theta^(3)(T(2,6n-+1)) to g4", failures)

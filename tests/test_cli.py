@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,49 @@ def test_reproduce_partial_ledger_names_missing_atoms(tmp_path, capsys):
         assert missing and missing[1] not in keep, line
 
 
+# "$ knotconc <argv>" lines, each followed by that command's full stdout
+PINNED_STDOUT = [
+    (shlex.split(block.partition("\n")[0]), block.partition("\n")[2])
+    for block in re.split(r"^\$ knotconc ", (REPO / "tests" / "data" / "verbose_stdout.txt")
+                          .read_text(encoding="utf-8"), flags=re.M)[1:]
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_STDOUT,
+                         ids=[shlex.join(argv) for argv, _ in PINNED_STDOUT])
+def test_verbose_stdout_pinned(argv, expected, capsys):
+    # derivation and provenance lines, byte for byte: R1 and R4-R8
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+def test_closed_form_cites_only_the_flag_it_read(tmp_path, capsys):
+    # R4 and R8 read the quasi-alternating flag at q = 2 and the L-space
+    # flag otherwise; the flag they did not read is not cited
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps(_ledger(facts=[
+        _fact(kind="quasi_alternating", value=True, provenance="qa"),
+        _fact(kind="l_space", q=2, value=True, provenance="lsp2"),
+        _fact(kind="l_space", q=3, value=True, provenance="lsp3"),
+    ])))
+    code, out, _ = run(capsys, "theta", "--ledger", str(path), "--expr", "K", "--q", "3")
+    assert code == 0 and "theta = 1" in out and "R4 L-space closed form" in out
+    assert out.split("ledger facts used:\n")[1] == "  l_space(K, q=3): lsp3\n"
+    code, out, _ = run(capsys, "theta", "--ledger", str(path), "--expr", "K", "--q", "2")
+    assert code == 0 and "theta = 1" in out and "R4 quasi-alternating closed form" in out
+    assert out.split("ledger facts used:\n")[1] == "  quasi_alternating(K): qa\n"
+
+
+def test_dash_leading_values(capsys):
+    # a value after --expr or --class may start with "-"
+    code, out, _ = run(capsys, "infer", "--expr", "-9_42")
+    assert code == 0 and out.splitlines()[1] == "theta = 1"
+    code, out, _ = run(capsys, "genus-bound", "--expr", "T(3,7)",
+                       "--rank", "3", "--class", "-2,0,0")
+    assert code == 0 and "g >= 5" in out
+
+
 def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, "infer", "--expr", "-(9_42) + Wh(T(2,3))")
     _, out2, _ = run(capsys, "infer", "--expr", "-(9_42) + Wh(T(2,3))")
@@ -336,6 +380,10 @@ MALFORMED_LEDGERS = {
     "delta-increasing": _ledger(facts=[_delta_seq([1, 5])]),
     "q-above-limit": _ledger(facts=[_fact(kind="sigma_q", q=1009, value=-4)]),
     "q-huge-prime": _ledger(facts=[_fact(kind="sigma_q", q=2 ** 89 - 1, value=-4)]),
+    "mirror-sigma-disagrees": _ledger(atoms=[{"name": "K"}], facts=[
+        _fact(kind="sigma", value=-2), _fact(knot="-K", kind="sigma", value=-2)]),
+    "mirror-g4-disagrees": _ledger(atoms=[{"name": "K"}], facts=[
+        _fact(value=1), _fact(knot="-K", value=3)]),
     "not-utf8": b'{"atoms": ["\xff\xfe"]}',
     "nested-too-deep": b"[" * 100_000,
 }

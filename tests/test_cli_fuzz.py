@@ -1,13 +1,16 @@
 """Fuzz the command line in-process through ``cli.main``.
 
-Every input, well formed or not, must end in a documented exit code (0-3).
-A nonzero exit prints exactly one line on stderr and never a traceback.
+Every input, well formed or not, must end in a documented exit code (0-3)
+and never in a traceback.  A usage or data error (exit 1 or 2) prints
+exactly one line on stderr; a reproduction failure (exit 3) prints nothing
+there, its report on stdout ends in the count of checks passed.
 The runs are derandomized so the suite gives the same result every time.
 """
 
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +29,9 @@ def check(argv):
     err = err.getvalue()
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err
-    if code:
+    if code == 3:
+        assert err == "" and re.search(r"\n\d+/\d+ checks passed\n\Z", out.getvalue()), argv
+    elif code:
         assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
     return code
 
@@ -151,6 +156,13 @@ def ledger_path(tmp_path_factory):
 def test_fuzz_ledger_file(ledger_path, data, q):
     ledger_path.write_bytes(data)
     check(["theta", "--ledger", str(ledger_path), "--expr", "K", "--q", q])
+
+
+@FUZZ
+@given(data=DOCUMENTS)
+def test_fuzz_reproduce_ledger(ledger_path, data):
+    ledger_path.write_bytes(data)
+    check(["reproduce", "--ledger", str(ledger_path)])
 
 
 # -- ledger facts at primes far above MAX_Q ------------------------------------

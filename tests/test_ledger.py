@@ -24,9 +24,9 @@ def test_seed_ledger_loads():
     assert "T(2,3)" in L.atoms and "9_42" in L.atoms and "Wh(T(2,3))" in L.atoms
     assert len(L.relations) == 5
     # spot values
-    assert L.atom_value("9_42", "sigma") == 2
-    assert L.atom_value("9_42", "sigma", mirror=True) == -2
-    assert L.atom_value("T(3,7)", "g4", mirror=True) == 6
+    assert L.quantity("9_42", "sigma")[0] == 2
+    assert L.quantity("9_42", "sigma", mirror=True)[0] == -2
+    assert L.quantity("T(3,7)", "g4", mirror=True)[0] == 6
     assert L.fact("T(2,5)", "ell_q", mirror=True, q=3).value == -2
     assert L.fact("T(2,5)", "ell_q", mirror=False, q=3) is None
 
@@ -177,9 +177,9 @@ def test_parse_error_reports_location(tmp_path):
 
 def test_sigma_q_from_seifert_matrix():
     L = ledger_from_json(minimal())
-    assert L.sigma_q_atom("K", 2) == -2
-    assert L.sigma_q_atom("K", 3) == -4
-    assert L.sigma_q_atom("K", 3, mirror=True) == 4
+    assert L.quantity("K", "sigma_q", q=2)[0] == -2
+    assert L.quantity("K", "sigma_q", q=3)[0] == -4
+    assert L.quantity("K", "sigma_q", mirror=True, q=3)[0] == 4
     assert L.sigma_q_expr(parse_expression("K + K"), 2) == -4
     assert L.sigma_q_expr(parse_expression("K + -K"), 3) == 0
 
@@ -224,11 +224,11 @@ def test_quantity_fallbacks_and_citations():
         fact("unknot", "g4", 0),
         fact("unknot", "g4_upper", 0),
     ]))
-    # g4 falls back to g4_upper; every kind tried cites its fact
+    # g4 falls back to g4_upper; a value cites the one fact it was read from
     assert L.quantity("K", "g4", mirror=True)[0] == 1
     assert cited("K", "g4", mirror=True) == ["g4_upper(K)"]
     assert L.quantity("unknot", "g4")[0] == 0
-    assert cited("unknot", "g4") == ["g4(unknot)", "g4_upper(unknot)"]
+    assert cited("unknot", "g4") == ["g4(unknot)"]
     # sigma_q at q = 2 falls back to sigma, served from the other side
     assert L.quantity("K", "sigma_q", q=2)[0] == -2
     assert cited("K", "sigma_q", q=2) == ["sigma(-K)"]
@@ -241,3 +241,28 @@ def test_quantity_fallbacks_and_citations():
     assert L.quantity("K", "ell_q", q=3) == (None, [])
     assert L.quantity("K", "ell_q", mirror=True, q=3)[0] == -2
     assert L.quantity("unknot", "tau") == (None, [])
+
+
+def test_two_sided_facts_must_agree():
+    def fact(knot, kind, value, **fields):
+        return {"knot": knot, "kind": kind, "value": value, "provenance": "t", **fields}
+
+    bare = [{"name": "K"}]
+    for pair in (
+            [fact("K", "sigma", -2), fact("-K", "sigma", -2)],
+            [fact("K", "g4", 1), fact("-K", "g4", 3)],
+            [fact("K", "quasi_alternating", True), fact("-K", "quasi_alternating", False)],
+            [fact("K", "lt_signature", -2, q=5, j=2), fact("-K", "lt_signature", -2, q=5, j=2)],
+            [fact("K", "l_space", True, q=3), fact("-K", "l_space", False, q=3)]):
+        with pytest.raises(LedgerError, match="disagree"):
+            ledger_from_json(minimal(facts=pair, atoms=bare))
+    # values that agree under the mirror rule, at different j, of bound kinds
+    # and of kinds served for one side only all load
+    L = ledger_from_json(minimal(atoms=bare, facts=[
+        fact("K", "tau", 1), fact("-K", "tau", -1),
+        fact("K", "lt_signature", -2, q=5, j=2), fact("-K", "lt_signature", -2, q=5, j=1),
+        fact("K", "g4_upper", 3), fact("-K", "g4_upper", 5),
+        fact("K", "unknotting_upper", 3), fact("-K", "unknotting_upper", 2),
+        fact("K", "ell_q", 0, q=3), fact("-K", "ell_q", -2, q=3),
+    ]))
+    assert L.quantity("K", "g4", mirror=True)[0] == 5
