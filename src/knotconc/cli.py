@@ -35,7 +35,7 @@ from .infer import (
     infer_theta,
     infer_theta_m,
 )
-from .knots import MAX_NESTING, ExpressionError, Mirror, expr_to_string, parse_expression
+from .knots import MAX_NESTING, ExpressionError, expr_to_string, mirror_atoms, parse_expression
 from .ledger import Ledger, LedgerError, load_ledger, load_seed_ledger
 from .seifert import SeifertMatrix, SeifertMatrixError
 from .sequences import InconsistentDataError
@@ -275,7 +275,7 @@ def _cmd_infer(args) -> int:
     ledger = _load(args)
     expr = _parse_expr_arg(args.expr)
     iv = infer_theta(ledger, expr, q=q)
-    miv = infer_theta(ledger, Mirror(expr), q=q)
+    miv = infer_theta(ledger, mirror_atoms(expr), q=q)
     value, *derivation = _interval_lines(iv, verbose=True)
     lines = [f"inference for {expr_to_string(expr)} at q = {q}:", value,
              f"mirror: {_interval_lines(miv, verbose=False)[0]}", *derivation]

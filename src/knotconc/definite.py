@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .cyclotomic import is_prime
 from .infer import BoundInterval, infer_theta_m
-from .knots import KnotExpression
+from .knots import Key
 from .ledger import Ledger
 
 
@@ -100,7 +100,7 @@ class GenusBound:
 
 
 def genus_bound_odd_q(
-    q: int, ledger: Ledger, expr: KnotExpression, a: HomologyClass
+    q: int, ledger: Ledger, expr: Key, a: HomologyClass
 ) -> GenusBound:
     """g_4(K, X, a) >= theta^(q)(K, m) + ((q+1)/(6q)) a^2 for odd prime q
     and a divisible by q; m = -((q^2-1)/(6q)) a^2."""
@@ -126,7 +126,7 @@ def genus_bound_odd_q(
     )
 
 
-def genus_bound_q2(ledger: Ledger, expr: KnotExpression, a: HomologyClass) -> GenusBound:
+def genus_bound_q2(ledger: Ledger, expr: Key, a: HomologyClass) -> GenusBound:
     """g_4(K, X, a) >= theta(K, m) + a^2/4 for a divisible by 2;
     m = -a^2/4 + eta(a/2)."""
     if not a.divisible_by(2):

@@ -57,9 +57,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .cyclotomic import is_prime
-from .knots import KnotExpression, mirror_atoms
+from .knots import Key, expr_to_string, mirror_atoms
 from .ledger import Ledger
-from .ledger_bounds import Key, LedgerBounds
+from .ledger_bounds import LedgerBounds
 from .sequences import ell_lower_bound, theta_from_mirror_delta
 
 # Largest inference universe.  A reduced query whose signed atoms occur
@@ -111,9 +111,7 @@ class BoundInterval:
 
 
 def _key_str(key: Key) -> str:
-    if not key:
-        return "unknot"
-    return " + ".join(f"-{n}" if m else n for n, m in key)
+    return expr_to_string(key) or "unknot"
 
 
 class InferenceEngine:
@@ -348,7 +346,7 @@ class InferenceEngine:
 
     # -- driver -------------------------------------------------------------
 
-    def run(self, expr: KnotExpression) -> Key:
+    def run(self, expr: Key) -> Key:
         self.ledger.require_atoms(expr)
         query = self.ledger_bounds.reduce(expr)
         _check_universe_size(query)
@@ -459,7 +457,7 @@ def _binary_splits(key: Key):
         yield sum(part, ()), sum(rest, ())
 
 
-def infer_theta(ledger: Ledger, expr: KnotExpression, q: int = 2,
+def infer_theta(ledger: Ledger, expr: Key, q: int = 2,
                 rule_seed: Optional[int] = None) -> BoundInterval:
     """Tightest theta^(q) interval derivable for ``expr`` from the ledger.
 
@@ -471,7 +469,7 @@ def infer_theta(ledger: Ledger, expr: KnotExpression, q: int = 2,
     return engine.interval(query)
 
 
-def infer_theta_m(ledger: Ledger, expr: KnotExpression, q: int, m: int) -> BoundInterval:
+def infer_theta_m(ledger: Ledger, expr: Key, q: int, m: int) -> BoundInterval:
     """Bounds on the m-shifted invariant theta^(q)(K, m).
 
     Exact when a full delta sequence of the mirror is available (ingested or

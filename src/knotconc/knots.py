@@ -10,91 +10,38 @@ commas, so that knot-table style names like ``T(2,3)``, ``9_42`` and
 ``Wh(T(2,3))`` are single atoms.  A leading ``-`` is the mirror image.
 Parentheses and mirror signs may nest at most ``MAX_NESTING`` (100) deep.
 
-Normalization pushes mirrors down to atoms (mirror is an involution and
-distributes over connected sum), flattens sums, and sorts summands, so two
-expressions denote the same formal sum iff their normal forms are equal.
+Connected sum is commutative and associative, and mirroring is an involution
+that distributes over it, so an expression is exactly its multiset of signed
+atoms.  ``parse_expression`` returns that multiset as its key: the sorted
+tuple of (name, mirrored) pairs.  Two expressions denote the same formal sum
+iff their keys are equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import Iterable
 
 
 class ExpressionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-
-@dataclass(frozen=True)
-class Mirror:
-    inner: "KnotExpression"
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "KnotExpression"
-    right: "KnotExpression"
-
-
-KnotExpression = Union[Atom, Mirror, Sum]
-
-# A normalized expression is determined by its multiset of signed atoms,
-# each a (name, mirrored) pair.
 SignedAtom = tuple[str, bool]
+Key = tuple[SignedAtom, ...]
 
 
-def signed_atoms(expr: KnotExpression) -> tuple[SignedAtom, ...]:
-    """Sorted multiset of (name, mirrored) leaves of the expression.
-
-    Walks with an explicit stack: a long sum is a deep left-nested tree."""
-    leaves: list[SignedAtom] = []
-    stack: list[tuple[KnotExpression, bool]] = [(expr, False)]
-    while stack:
-        e, flip = stack.pop()
-        if isinstance(e, Atom):
-            leaves.append((e.name, flip))
-        elif isinstance(e, Mirror):
-            stack.append((e.inner, not flip))
-        elif isinstance(e, Sum):
-            stack.append((e.right, flip))
-            stack.append((e.left, flip))
-        else:
-            raise ExpressionError(f"not a knot expression: {e!r}")
-    return tuple(sorted(leaves))
+def signed_atoms(atoms: Iterable[SignedAtom]) -> Key:
+    """The key of a multiset of signed atoms: the atoms, sorted."""
+    return tuple(sorted(atoms))
 
 
-def from_signed_atoms(atoms: tuple[SignedAtom, ...]) -> KnotExpression:
-    if not atoms:
-        raise ExpressionError("empty expression")
-    terms: list[KnotExpression] = [
-        Mirror(Atom(name)) if mirrored else Atom(name) for name, mirrored in sorted(atoms)
-    ]
-    out = terms[0]
-    for t in terms[1:]:
-        out = Sum(out, t)
-    return out
+def mirror_atoms(key: Key) -> Key:
+    """The key of the mirror image."""
+    return signed_atoms((name, not m) for name, m in key)
 
 
-def mirror_atoms(atoms: tuple[SignedAtom, ...]) -> tuple[SignedAtom, ...]:
-    """The sorted multiset of signed atoms of the mirror image."""
-    return tuple(sorted((name, not m) for name, m in atoms))
-
-
-def normalize(expr: KnotExpression) -> KnotExpression:
-    """Canonical form: mirrors at atoms, sums flattened, summands sorted."""
-    return from_signed_atoms(signed_atoms(expr))
-
-
-def expr_to_string(expr: KnotExpression) -> str:
-    parts = []
-    for name, mirrored in signed_atoms(normalize(expr)):
-        parts.append(f"-{name}" if mirrored else name)
-    return " + ".join(parts)
+def expr_to_string(key: Key) -> str:
+    return " + ".join(f"-{name}" if mirrored else name for name, mirrored in key)
 
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -152,9 +99,9 @@ def _tokenize(text: str) -> list[str]:
 MAX_NESTING = 100
 
 
-def parse_expression(text: str) -> KnotExpression:
-    """Parse the expression grammar; raises ExpressionError on bad input,
-    including terms nested more than MAX_NESTING deep."""
+def parse_expression(text: str) -> Key:
+    """Parse the expression grammar into its key; raises ExpressionError on
+    bad input, including terms nested more than MAX_NESTING deep."""
     tokens = _tokenize(text)
     pos = 0
     depth = 0
@@ -168,14 +115,14 @@ def parse_expression(text: str) -> KnotExpression:
         pos += 1
         return tok
 
-    def parse_sum() -> KnotExpression:
+    def parse_sum() -> list[SignedAtom]:
         out = parse_term()
         while peek() == "+":
             take()
-            out = Sum(out, parse_term())
+            out += parse_term()
         return out
 
-    def parse_term() -> KnotExpression:
+    def parse_term() -> list[SignedAtom]:
         nonlocal depth
         tok = peek()
         if tok in ("-", "("):
@@ -186,7 +133,7 @@ def parse_expression(text: str) -> KnotExpression:
                     f"(parentheses and mirror signs)")
             take()
             if tok == "-":
-                inner = Mirror(parse_term())
+                inner = [(name, not m) for name, m in parse_term()]
             else:
                 inner = parse_sum()
                 if take() != ")":
@@ -195,10 +142,10 @@ def parse_expression(text: str) -> KnotExpression:
             return inner
         if tok is not None and tok.startswith("NAME:"):
             take()
-            return Atom(tok[5:])
+            return [(tok[5:], False)]
         raise ExpressionError(f"expected a knot name in {text!r}")
 
     out = parse_sum()
     if pos != len(tokens):
         raise ExpressionError(f"trailing input in {text!r}")
-    return out
+    return signed_atoms(out)

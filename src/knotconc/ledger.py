@@ -44,12 +44,7 @@ from importlib import resources
 from typing import Optional, Union
 
 from .cyclotomic import MAX_Q, is_prime
-from .knots import (
-    KnotExpression,
-    expr_to_string,
-    parse_expression,
-    signed_atoms,
-)
+from .knots import ExpressionError, Key, expr_to_string, parse_expression
 from .seifert import SeifertMatrix
 from .sequences import DeltaSequence, SequenceError
 from . import signatures
@@ -123,8 +118,8 @@ class Fact:
 class CrossingRelation:
     """K- is obtained from K+ by changing a positive crossing to negative."""
 
-    plus: KnotExpression
-    minus: KnotExpression
+    plus: Key
+    minus: Key
 
 
 @dataclass
@@ -165,32 +160,32 @@ class Ledger:
                 return f.mirror_value(), [f]
         atom = self.atoms.get(name)
         if kind == "sigma_q" and atom is not None and atom.seifert is not None:
-            value = _sigma_q_of_matrix(atom.seifert.rows, q)
+            value = _sigma_q_of_matrix(atom.seifert, q)
             return (-value if mirror else value), []
         return None, []
 
-    def sigma_q_expr(self, expr: KnotExpression, q: int) -> Optional[int]:
+    def sigma_q_expr(self, key: Key, q: int) -> Optional[int]:
         """sigma^(q) of a formal sum, by additivity over summands."""
         total = 0
-        for name, mirrored in signed_atoms(expr):
+        for name, mirrored in key:
             v = self.quantity(name, "sigma_q", mirror=mirrored, q=q)[0]
             if v is None:
                 return None
             total += v
         return total
 
-    def require_atoms(self, expr: KnotExpression) -> None:
-        for name, _ in signed_atoms(expr):
+    def require_atoms(self, key: Key) -> None:
+        for name, _ in key:
             if name not in self.atoms:
                 raise LedgerError(f"unknown knot atom {name!r}")
 
 
 # Shared by every ledger in the process; bounded so that memory does not
 # grow with every distinct matrix queried (the seed ledger needs 27 atoms x
-# the q values in use).
+# the q values in use).  Keyed by the frozen matrix, checked once at load.
 @lru_cache(maxsize=4096)
-def _sigma_q_of_matrix(rows: tuple, q: int) -> int:
-    return signatures.sigma_q(SeifertMatrix(rows), q)
+def _sigma_q_of_matrix(matrix: SeifertMatrix, q: int) -> int:
+    return signatures.sigma_q(matrix, q)
 
 
 # -- parsing and validation ---------------------------------------------------
@@ -205,6 +200,14 @@ def _list_field(obj: dict, key: str) -> list:
     if not isinstance(value, list):
         raise LedgerError(f"ledger field {key!r} must be a list, got {value!r}")
     return value
+
+
+def _is_knot_name(name: str) -> bool:
+    """Whether the expression grammar reads ``name`` as that one atom."""
+    try:
+        return parse_expression(name) == ((name, False),)
+    except ExpressionError:
+        return False
 
 
 def _fact_from_json(obj: dict, atoms: dict[str, KnotAtom]) -> Fact:
@@ -298,7 +301,7 @@ def _check_signature_facts_against_matrices(ledger: Ledger) -> None:
         if f.kind == "sigma":
             computed = signatures.signature(atom.seifert)
         elif f.kind == "sigma_q":
-            computed = _sigma_q_of_matrix(atom.seifert.rows, f.q)
+            computed = _sigma_q_of_matrix(atom.seifert, f.q)
         else:
             computed = signatures.lt_signature(atom.seifert, f.q, f.j)
         # every Levine-Tristram signature changes sign under mirroring
@@ -363,6 +366,8 @@ def ledger_from_json(data: dict) -> Ledger:
             raise LedgerError(f"atom missing name: {obj!r}")
         if name in atoms:
             raise LedgerError(f"duplicate atom name {name!r}")
+        if not _is_knot_name(name):
+            raise LedgerError(f"atom name {name!r} is not a single knot name")
         seifert = None
         if obj.get("seifert") is not None:
             try:

@@ -25,11 +25,10 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
-from .knots import KnotExpression, SignedAtom, mirror_atoms, signed_atoms
+from .knots import Key, SignedAtom, mirror_atoms
 from .ledger import FactValue, Ledger
 from .sequences import DeltaSequence, ell_lower_bound, theta_from_mirror_delta
 
-Key = tuple[SignedAtom, ...]
 # (lower, upper, why): a bound on theta, None where the rule gives none
 Bound = tuple[Optional[Fraction], Optional[Fraction], str]
 
@@ -53,11 +52,11 @@ class LedgerBounds:
 
     # -- concordance reduction ---------------------------------------------
 
-    def reduce(self, expr: KnotExpression) -> Key:
+    def reduce(self, key: Key) -> Key:
         """Drop slice summands and cancel K + (-K) pairs; theta only sees
         the concordance class."""
         counts: Counter = Counter()
-        for name, mirrored in signed_atoms(expr):
+        for name, mirrored in key:
             if self._quantity(name, "slice", mirrored) is True:
                 continue
             counts[(name, mirrored)] += 1

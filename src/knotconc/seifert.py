@@ -82,11 +82,6 @@ class SeifertMatrix:
     def genus(self) -> int:
         return self.size // 2
 
-    def mirror(self) -> "SeifertMatrix":
-        """Seifert matrix -V^T of the mirror knot."""
-        n = self.size
-        return SeifertMatrix(tuple(tuple(-self.rows[j][i] for j in range(n)) for i in range(n)))
-
     def block_sum(self, other: "SeifertMatrix") -> "SeifertMatrix":
         """Block sum, presenting the connected sum of the two knots."""
         n, m = self.size, other.size

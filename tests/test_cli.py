@@ -287,6 +287,18 @@ def test_cli_imports_only_the_standard_library():
     assert [m for m in loaded if m != "knotconc" and m not in sys.stdlib_module_names] == []
 
 
+def test_signatures_import_loads_only_its_layers():
+    # the package root re-exports nothing, so a layer loads only what it uses
+    code = ("import sys, knotconc.signatures; "
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'knotconc'))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["knotconc", "knotconc.cyclotomic", "knotconc.seifert",
+                                   "knotconc.signatures"]
+
+
 def test_engine_error_exit_2(capsys):
     # twelve summands exceed the inference engine's universe limit
     expr = ("T(2,7) + T(2,11) + T(2,13) + T(2,17) + T(2,19) + T(2,23) + "

@@ -3,40 +3,37 @@ import random
 import pytest
 
 from knotconc.knots import (
-    Atom,
     ExpressionError,
-    Mirror,
-    Sum,
     expr_to_string,
-    normalize,
+    mirror_atoms,
     parse_expression,
-    signed_atoms,
 )
 
 NAMES = ["T(2,3)", "T(3,7)", "9_42", "Wh(T(2,3))", "unknot", "8_19"]
 
 
 def random_expr(rng, depth=0):
+    """A random expression string: atoms under nested mirrors, sums and
+    parentheses."""
     r = rng.random()
     if depth > 4 or r < 0.4:
-        return Atom(rng.choice(NAMES))
+        return rng.choice(NAMES)
     if r < 0.7:
-        return Mirror(random_expr(rng, depth + 1))
-    return Sum(random_expr(rng, depth + 1), random_expr(rng, depth + 1))
+        return f"-{random_expr(rng, depth + 1)}"
+    return f"({random_expr(rng, depth + 1)} + {random_expr(rng, depth + 1)})"
 
 
 def test_parse_atoms_with_nested_parens():
-    e = parse_expression("Wh(T(2,3))")
-    assert e == Atom("Wh(T(2,3))")
+    assert parse_expression("Wh(T(2,3))") == (("Wh(T(2,3))", False),)
     e = parse_expression("-(9_42) + Wh(T(2,3))")
-    assert signed_atoms(e) == (("9_42", True), ("Wh(T(2,3))", False))
+    assert e == (("9_42", True), ("Wh(T(2,3))", False))
 
 
 def test_parse_sum_and_mirror():
     e = parse_expression("T(2,5) + -Wh(T(2,3))")
-    assert signed_atoms(e) == (("T(2,5)", False), ("Wh(T(2,3))", True))
+    assert e == (("T(2,5)", False), ("Wh(T(2,3))", True))
     e = parse_expression("-(T(2,5) + -Wh(T(2,3)))")
-    assert signed_atoms(e) == (("T(2,5)", True), ("Wh(T(2,3))", False))
+    assert e == (("T(2,5)", True), ("Wh(T(2,3))", False))
 
 
 def test_parse_errors():
@@ -46,32 +43,42 @@ def test_parse_errors():
 
 
 def test_mirror_involution():
-    e = parse_expression("T(2,3)")
-    assert normalize(Mirror(Mirror(e))) == normalize(e)
+    rng = random.Random(40)
+    for _ in range(300):
+        a = random_expr(rng)
+        assert parse_expression(f"-(-({a}))") == parse_expression(a)
 
 
 def test_mirror_distributes_over_sum():
-    a, b = Atom("T(2,3)"), Atom("9_42")
-    assert normalize(Mirror(Sum(a, b))) == normalize(Sum(Mirror(a), Mirror(b)))
+    rng = random.Random(43)
+    for _ in range(300):
+        a, b = random_expr(rng), random_expr(rng)
+        assert parse_expression(f"-({a} + {b})") == parse_expression(f"-({a}) + -({b})")
 
 
-def test_sum_commutative_under_normalization():
-    a, b = Atom("T(2,3)"), Atom("9_42")
-    assert normalize(Sum(a, b)) == normalize(Sum(b, a))
+def test_sum_commutative():
+    rng = random.Random(44)
+    for _ in range(300):
+        a, b, c = random_expr(rng), random_expr(rng), random_expr(rng)
+        assert parse_expression(f"{a} + {b}") == parse_expression(f"{b} + {a}")
+        assert (parse_expression(f"({a} + {b}) + {c}")
+                == parse_expression(f"{a} + ({b} + {c})"))
 
 
-def test_normalize_idempotent_random():
+def test_key_laws_random():
+    """For random a and b: the key of a + b is that of b + a and of
+    -(-(a) + -(b)), its mirror is the key of -(a + b), and it is sorted."""
     rng = random.Random(41)
     for _ in range(1000):
-        e = random_expr(rng)
-        n = normalize(e)
-        assert normalize(n) == n
-        # normalization preserves the signed-atom multiset
-        assert signed_atoms(n) == signed_atoms(e)
+        a, b = random_expr(rng), random_expr(rng)
+        key = parse_expression(f"{a} + {b}")
+        assert key == parse_expression(f"{b} + {a}") == parse_expression(f"-(-({a}) + -({b}))")
+        assert mirror_atoms(key) == parse_expression(f"-({a} + {b})")
+        assert list(key) == sorted(key)
 
 
 def test_string_round_trip():
     rng = random.Random(42)
     for _ in range(300):
-        e = normalize(random_expr(rng))
-        assert normalize(parse_expression(expr_to_string(e))) == e
+        key = parse_expression(random_expr(rng))
+        assert parse_expression(expr_to_string(key)) == key

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from knotconc.cli import main
 from knotconc.knots import parse_expression, signed_atoms
 from knotconc.ledger import (
     LedgerError,
@@ -90,6 +91,20 @@ def test_unknown_atom_and_kind_rejected():
         ledger_from_json(minimal(facts=[
             {"knot": "K", "kind": "sigma_squared", "value": 0, "provenance": "t"},
         ]))
+
+
+@pytest.mark.parametrize("name", ["-K", "A + B", "T(2, 3)", "(K)", "K)"])
+def test_atom_name_outside_the_grammar_rejected(name, tmp_path, capsys):
+    # "-K" would read as the mirror of K in a fact and could never be queried
+    data = minimal(atoms=[{"name": "K"}, {"name": name}],
+                   facts=[{"knot": "-K", "kind": "g4", "value": 1, "provenance": "t"}])
+    with pytest.raises(LedgerError, match="is not a single knot name"):
+        ledger_from_json(data)
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(data))
+    assert main(["theta", "--expr", "K", "--ledger", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: atom name {name!r} is not a single knot name\n"
 
 
 def test_duplicate_fact_rejected():
