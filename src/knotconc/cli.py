@@ -35,7 +35,8 @@ from .infer import (
     infer_theta,
     infer_theta_m,
 )
-from .knots import MAX_NESTING, ExpressionError, expr_to_string, mirror_atoms, parse_expression
+from .knots import (MAX_NESTING, ExpressionError, Key, expr_to_string, mirror_atoms,
+                    parse_expression)
 from .ledger import Ledger, LedgerError, load_ledger, load_seed_ledger
 from .seifert import SeifertMatrix, SeifertMatrixError
 from .sequences import InconsistentDataError
@@ -218,9 +219,11 @@ def _parse_class(text: str, rank: int) -> HomologyClass:
     return HomologyClass(coords)
 
 
-def _torus_n_from_expr(text: str) -> int:
-    # the comparison table is specific to T(3, 6n+1) with n >= 1
-    match = re.fullmatch(r"T\(3,(\d{1,9})\)", text.replace(" ", ""))
+def _torus_n_from_expr(expr: Key, text: str) -> int:
+    # the comparison table is specific to T(3, 6n+1) with n >= 1: the
+    # expression must be that one unmirrored atom, however it is written
+    match = (len(expr) == 1 and not expr[0][1]
+             and re.fullmatch(r"T\(3,(\d{1,9})\)", expr[0][0]))
     if match and int(match[1]) % 6 == 1 and int(match[1]) > 1:
         return int(match[1]) // 6
     raise _UsageError(
@@ -252,7 +255,7 @@ def _cmd_genus_bound(args) -> int:
         "theta": _interval_json(bound.theta_interval),
     }
     if args.compare:
-        n = _torus_n_from_expr(args.expr)
+        n = _torus_n_from_expr(expr, args.expr)
         if not a.divisible_by(2):
             raise _UsageError("--compare needs an even class a = 2x")
         x = a.divide(2)

@@ -99,6 +99,17 @@ class GenusBound:
     exact_theta: bool
 
 
+def _genus_bound(ledger: Ledger, expr: Key, q: int, m: int, a_sq: int,
+                 shift: Fraction) -> GenusBound:
+    """g_4(K, X, a) >= theta^(q)(K, m) + shift, once the hypotheses hold."""
+    assert m >= 0
+    interval = infer_theta_m(ledger, expr, q, m)
+    return GenusBound(
+        value=interval.lower + shift, q=q, m=m, a_square=a_sq,
+        theta_interval=interval, exact_theta=interval.exact,
+    )
+
+
 def genus_bound_odd_q(
     q: int, ledger: Ledger, expr: Key, a: HomologyClass
 ) -> GenusBound:
@@ -116,14 +127,7 @@ def genus_bound_odd_q(
         raise HypothesisError(
             f"theorem hypotheses not met: m = {m} is not an integer (a^2 = {a_sq})"
         )
-    m = int(m)
-    assert m >= 0
-    interval = infer_theta_m(ledger, expr, q, m)
-    value = interval.lower + Fraction((q + 1) * a_sq, 6 * q)
-    return GenusBound(
-        value=value, q=q, m=m, a_square=a_sq,
-        theta_interval=interval, exact_theta=interval.exact,
-    )
+    return _genus_bound(ledger, expr, q, int(m), a_sq, Fraction((q + 1) * a_sq, 6 * q))
 
 
 def genus_bound_q2(ledger: Ledger, expr: Key, a: HomologyClass) -> GenusBound:
@@ -138,14 +142,7 @@ def genus_bound_q2(ledger: Ledger, expr: Key, a: HomologyClass) -> GenusBound:
     m = -Fraction(a_sq, 4) + eta(x)
     if m.denominator != 1:
         raise HypothesisError(f"theorem hypotheses not met: m = {m} is not an integer")
-    m = int(m)
-    assert m >= 0
-    interval = infer_theta_m(ledger, expr, 2, m)
-    value = interval.lower + Fraction(a_sq, 4)
-    return GenusBound(
-        value=value, q=2, m=m, a_square=a_sq,
-        theta_interval=interval, exact_theta=interval.exact,
-    )
+    return _genus_bound(ledger, expr, 2, int(m), a_sq, Fraction(a_sq, 4))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ from .cyclotomic import is_prime
 from .knots import Key, expr_to_string, mirror_atoms
 from .ledger import Ledger
 from .ledger_bounds import LedgerBounds
-from .sequences import ell_lower_bound, theta_from_mirror_delta
 
 # Largest inference universe.  A reduced query whose signed atoms occur
 # c_1, ..., c_k times has prod(c_i + 1) - 1 non-empty sub-multisets, each a
@@ -473,40 +472,32 @@ def infer_theta_m(ledger: Ledger, expr: Key, q: int, m: int) -> BoundInterval:
     """Bounds on the m-shifted invariant theta^(q)(K, m).
 
     Exact when a full delta sequence of the mirror is available (ingested or
-    closed-form); otherwise an interval from the m-shifted HF+ degree bound,
-    the signature lower bound (valid for every m), and monotonicity
-    theta(K, m) <= theta(K).
+    closed-form, R8); otherwise an interval from the m-shifted HF+ degree
+    bound (R7), the signature lower bound (R1, valid for every m), and
+    monotonicity theta(K, m) <= theta(K).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     engine = InferenceEngine(ledger, q)
     query = engine.run(expr)
-    sigq = engine.ledger_bounds.sigma_q(query)
-    seq = engine.ledger_bounds.mirror_delta_seq(query)
-    just: list[str]
-    if seq is not None and sigq is not None:
-        value = theta_from_mirror_delta(q, seq, sigq, m).value
-        just = [f"exact delta sequence of the mirror with m = {m}"]
-        return BoundInterval(lower=value, upper=value, justification=just,
-                             provenance=dict(sorted(engine.provenance.items())))
+    rules = engine.ledger_bounds
     base = engine.interval(query)
+    for value, _, _ in rules.r8(query, m):  # at most one, an exact value
+        return BoundInterval(lower=value, upper=value,
+                             justification=[f"exact delta sequence of the mirror with m = {m}"],
+                             provenance=base.provenance)
     if m == 0:
         # theta(K, 0) is theta(K): the whole rule set applies
         return base
     lower = Fraction(0)
     just = [f"theta(K, {m}) >= 0"]
-    if sigq is not None:
-        cand = Fraction(-sigq, 2 * (q - 1))
-        if cand > lower:
-            lower = cand
-            just.append(f"signature lower bound holds for every m: >= {cand}")
-        ell = engine.ledger_bounds.ell_mirror(query)
-        if ell is not None:
-            cand = ell_lower_bound(q, ell, sigq, m)
+    for found, why in ((rules.r1_signature(query), "signature lower bound holds for every m"),
+                       (rules.r7(query, m), f"HF+ degree bound with m = {m}")):
+        for cand, _, _ in found:
             if cand > lower:
                 lower = cand
-                just.append(f"HF+ degree bound with m = {m}: >= {cand}")
-    lower = max(Fraction(0), Fraction(math.ceil(lower * (q - 1)), q - 1))
+                just.append(f"{why}: >= {cand}")
+    lower = Fraction(math.ceil(lower * (q - 1)), q - 1)
     upper = base.upper
     if upper is not None:
         just.append(f"monotone in m: theta(K, {m}) <= theta(K) <= {upper}")

@@ -424,36 +424,6 @@ def load_ledger(path) -> Ledger:
     return ledger_from_json(data)
 
 
-def ledger_to_json(ledger: Ledger) -> dict:
-    atoms = []
-    for atom in ledger.atoms.values():
-        obj: dict = {"name": atom.name}
-        if atom.seifert is not None:
-            obj["seifert"] = atom.seifert.to_lists()
-        atoms.append(obj)
-    facts = []
-    for f in ledger.facts.values():
-        obj = {
-            "knot": ("-" + f.knot) if f.mirror else f.knot,
-            "kind": f.kind,
-        }
-        if f.q is not None:
-            obj["q"] = f.q
-        if f.j is not None:
-            obj["j"] = f.j
-        if isinstance(f.value, DeltaSequence):
-            obj["value"] = {"values": list(f.value.values), "stable": f.value.stable}
-        else:
-            obj["value"] = f.value
-        obj["provenance"] = f.provenance
-        facts.append(obj)
-    relations = [
-        {"plus": expr_to_string(r.plus), "minus": expr_to_string(r.minus)}
-        for r in ledger.relations
-    ]
-    return {"atoms": atoms, "facts": facts, "relations": relations}
-
-
 def seed_ledger_text() -> str:
     return resources.files("knotconc").joinpath("data/seed_ledger.json").read_text("utf-8")
 

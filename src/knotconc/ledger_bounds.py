@@ -9,9 +9,14 @@ never a bound the engine derived, so the engine applies them once per key:
                              cover gives theta = max(0, -sigma^(q)/(2(q-1)))
   R5  delta jump:            delta^(q) < -sigma^(q)/2 and sigma^(q) <= 0
                              force theta >= 1/(q-1) - sigma^(q)/(2(q-1))
-  R7  HF+ degree:            theta >= ell^(q)(-K)/(q-1) - 3 sigma^(q)/(4(q-1))
-  R8  exact sequence:        a full delta sequence for the mirror pins theta
-                             exactly through the j-scan
+  R7  HF+ degree:            theta(K, m) >= ell^(q)(-K)/(q-1) - m/(2(q-1))
+                                            - 3 sigma^(q)/(4(q-1))
+  R8  exact sequence:        a full delta sequence for the mirror pins
+                             theta(K, m) exactly through the j-scan
+
+R7 and R8 bound the m-shifted invariant theta(K, m), and R1's lower bound
+holds for it at every m: the engine reads them at m = 0, where theta(K, 0)
+is theta(K), and ``infer.infer_theta_m`` at its own m.
 
 The same object reduces a query to its concordance class and serves the
 ledger quantities the engine's other rules need.  It reads the ledger only
@@ -141,20 +146,23 @@ class LedgerBounds:
     # -- rules ----------------------------------------------------------------
 
     def bounds(self, key: Key) -> list[Bound]:
-        """What R1, R4, R5, R7 and R8 give at key."""
-        return (self._r1(key) + self._r4(key) + self._r5(key) + self._r7(key)
-                + self._r8(key))
+        """What R1, R4, R5, R7 and R8 give at key, with R7 and R8 at m = 0."""
+        return (self.r1_signature(key) + self._r1_genus(key) + self._r4(key)
+                + self._r5(key) + self.r7(key, 0) + self.r8(key, 0))
 
-    def _r1(self, key: Key) -> list[Bound]:
-        out = []
+    def r1_signature(self, key: Key) -> list[Bound]:
+        """R1's lower bound; it holds for theta(K, m) at every m."""
         sigq = self.sigma_q(key)
-        if sigq is not None:
-            out.append((Fraction(-sigq, 2 * (self.q - 1)), None,
-                        f"R1 signature lower bound, sigma^({self.q}) = {sigq}"))
+        if sigq is None:
+            return []
+        return [(Fraction(-sigq, 2 * (self.q - 1)), None,
+                 f"R1 signature lower bound, sigma^({self.q}) = {sigq}")]
+
+    def _r1_genus(self, key: Key) -> list[Bound]:
         g4 = self._additive(key, "g4")
-        if g4 is not None:
-            out.append((None, Fraction(g4), f"R1 slice genus upper bound, g4 <= {g4}"))
-        return out
+        if g4 is None:
+            return []
+        return [(None, Fraction(g4), f"R1 slice genus upper bound, g4 <= {g4}")]
 
     def _r4(self, key: Key) -> list[Bound]:
         if len(key) != 1:
@@ -177,20 +185,22 @@ class LedgerBounds:
                      f"{Fraction(-sigq, 2)} with sigma <= 0")]
         return []
 
-    def _r7(self, key: Key) -> list[Bound]:
+    def r7(self, key: Key, m: int) -> list[Bound]:
+        """R7's lower bound on theta(K, m)."""
         sigq = self.sigma_q(key)
         ell = None if sigq is None else self.ell_mirror(key)
         if ell is None:
             return []
-        return [(ell_lower_bound(self.q, ell, sigq, 0), None,
+        return [(ell_lower_bound(self.q, ell, sigq, m), None,
                  f"R7 HF+ degree bound: ell^({self.q})(mirror) = {ell}")]
 
-    def _r8(self, key: Key) -> list[Bound]:
+    def r8(self, key: Key, m: int) -> list[Bound]:
+        """R8's exact value of theta(K, m)."""
         seq = self.mirror_delta_seq(key)
         if seq is None:
             return []
         sigq = self.sigma_q(key)
         if sigq is None:
             return []
-        value = theta_from_mirror_delta(self.q, seq, sigq).value
+        value = theta_from_mirror_delta(self.q, seq, sigq, m)
         return [(value, value, "R8 exact delta sequence of the mirror")]

@@ -75,9 +75,9 @@ def _torus_theta(n: int, sign: int, mirror: bool) -> Fraction:
     sig = -8 * n
     if mirror:
         delta = torus_delta_sequence(fam, n)  # sequence of the mirror of -T
-        return theta_from_mirror_delta(2, delta, -sig).value
+        return theta_from_mirror_delta(2, delta, -sig)
     delta = torus_delta_sequence("-" + fam, n)
-    return theta_from_mirror_delta(2, delta, sig).value
+    return theta_from_mirror_delta(2, delta, sig)
 
 
 def _checks() -> list[Check]:
@@ -159,25 +159,25 @@ def _checks() -> list[Check]:
         for n in range(1, 6):
             for m in range(0, 21):
                 tm = theta_from_mirror_delta(2, torus_delta_sequence("-T(3,6n-1)", n), -8 * n, m)
-                if tm.value != max(4 * n, 6 * n - 2 - 2 * (m // 4)):
-                    bad.append(("6n-1", n, m, tm.value))
+                if tm != max(4 * n, 6 * n - 2 - 2 * (m // 4)):
+                    bad.append(("6n-1", n, m, tm))
                 tp = theta_from_mirror_delta(2, torus_delta_sequence("-T(3,6n+1)", n), -8 * n, m)
-                if tp.value != max(4 * n, 6 * n - 2 * (m // 4)):
-                    bad.append(("6n+1", n, m, tp.value))
+                if tp != max(4 * n, 6 * n - 2 * (m // 4)):
+                    bad.append(("6n+1", n, m, tp))
         return str(bad), "[]"
     add("theta-m-torus", 5,
         "theta(T(3,6n-+1), m) closed forms for n = 1..5, m = 0..20", torus_theta_m)
 
     def delta_closed(L):
-        got = [torus_delta_sequence("-T(3,6n+1)", 1),
-               torus_delta_sequence("-T(3,6n+1)", 2),
-               torus_delta_sequence("-T(3,6n-1)", 2),
-               torus_delta_sequence("T(3,6n+1)", 1)]
-        want = ["DeltaSequence(values=(0, 0), stable=-4)",
-                "DeltaSequence(values=(0, 0, -4, -4), stable=-8)",
-                "DeltaSequence(values=(-4, -4), stable=-8)",
-                "DeltaSequence(values=(), stable=4)"]
-        return str([repr(g) for g in got]), str(want)
+        got, want = [], []
+        for text, family, n in (("-T(3,7)", "-T(3,6n+1)", 1), ("-T(3,13)", "-T(3,6n+1)", 2),
+                                ("-T(3,11)", "-T(3,6n-1)", 2), ("T(3,7)", "T(3,6n+1)", 1)):
+            key = parse_expression(text)
+            L.require_atoms(key)
+            [(name, mirrored)] = key
+            got.append(repr(L.quantity(name, "delta_seq", mirror=mirrored, q=2)[0]))
+            want.append(repr(torus_delta_sequence(family, n)))
+        return str(got), str(want)
     add("delta-closed-forms", 5, "ingested delta sequences match their closed forms",
         delta_closed)
 

@@ -92,9 +92,6 @@ class SeifertMatrix:
             rows.append((0,) * n + tuple(other.rows[i]))
         return SeifertMatrix(tuple(rows))
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
 
 UNKNOT_MATRIX = SeifertMatrix(())
 

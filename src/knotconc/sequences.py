@@ -14,8 +14,11 @@ form, or an upper-bound construction) and runs the arithmetic layer:
                       and for q = 2 just max(0, j(-K) - sigma(K)/2)
     theta^(q)(K, m) likewise with j^(q)(-K, m).
 
-Note the mirror: theta of K reads the sequence of -K and the signature
-of K.  Convenience wrappers below keep the signs straight.
+A xi sequence is held as a ``DeltaSequence`` (it is non-increasing and
+eventually constant too), and a theta value is a ``Fraction`` in
+(1/(q-1)) * Z, at least 0.  Note the mirror: theta of K reads the sequence
+of -K and the signature of K.  ``theta_from_mirror_delta`` keeps the signs
+straight.
 
 Also here: the min-plus convolution giving the connected-sum upper bound
 delta_{i+j}(K1 + K2) <= delta_i(K1) + delta_j(K2), the crossing-change
@@ -73,20 +76,7 @@ class DeltaSequence:
         return DeltaSequence((), value)
 
 
-@dataclass(frozen=True)
-class XiSequence:
-    """xi_j = delta_j/4 + sigma^(q)/8, stored like DeltaSequence."""
-
-    values: tuple[int, ...]
-    stable: int
-
-    def value_at(self, j: int) -> int:
-        if j >= len(self.values):
-            return self.stable
-        return self.values[j] if j >= 0 else self.value_at(0)
-
-
-def xi_sequence(delta: DeltaSequence, sigq: int, q: int) -> XiSequence:
+def xi_sequence(delta: DeltaSequence, sigq: int, q: int) -> DeltaSequence:
     """Normalize a delta sequence by the total signature of the same knot.
 
     Integrality of every xi_j is equivalent to the congruence
@@ -110,10 +100,10 @@ def xi_sequence(delta: DeltaSequence, sigq: int, q: int) -> XiSequence:
         raise InconsistentDataError(
             f"inconsistent (delta_stable, sigma) pair: stable={delta.stable}, sigma^({q})={sigq}"
         )
-    return XiSequence(tuple(out), int(xs))
+    return DeltaSequence(tuple(out), int(xs))
 
 
-def j_value(xi: XiSequence) -> int:
+def j_value(xi: DeltaSequence) -> int:
     """Least j with xi_j = 0; requires the sequence to stabilize at 0."""
     if xi.stable != 0:
         raise InconsistentDataError(
@@ -142,27 +132,7 @@ def j_value_m(delta: DeltaSequence, sigq: int, m: int) -> int:
     return delta.prefix_len()
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    """A value of theta^(q), a non-negative element of (1/(q-1)) * Z."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if self.numerator < 0 or self.denominator < 1:
-            raise SequenceError(f"bad theta value {self.numerator}/{self.denominator}")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __repr__(self) -> str:
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-def theta(q: int, j_mirror: int, sigq_K: int) -> ThetaValue:
+def theta(q: int, j_mirror: int, sigq_K: int) -> Fraction:
     """theta^(q)(K) from j^(q)(-K) and sigma^(q)(K).
 
     q = 2:   max(0, j(-K) - sigma(K)/2)
@@ -175,24 +145,22 @@ def theta(q: int, j_mirror: int, sigq_K: int) -> ThetaValue:
     if sigq_K % 2 != 0:
         raise InconsistentDataError(f"sigma^(q) must be even, got {sigq_K}")
     if q == 2:
-        num = max(0, j_mirror - sigq_K // 2)
-        return ThetaValue(num, 1)
+        return Fraction(max(0, j_mirror - sigq_K // 2))
     if sigq_K % 4 != 0:
         raise InconsistentDataError(
             f"sigma^({q}) must be divisible by 4 for odd q, got {sigq_K}"
         )
-    num = max(0, 2 * j_mirror - sigq_K // 2)
-    return ThetaValue(num, q - 1)
+    return Fraction(max(0, 2 * j_mirror - sigq_K // 2), q - 1)
 
 
-def theta_m(q: int, j_m_mirror: int, sigq_K: int) -> ThetaValue:
+def theta_m(q: int, j_m_mirror: int, sigq_K: int) -> Fraction:
     """theta^(q)(K, m) from j^(q)(-K, m); same shape as theta."""
     return theta(q, j_m_mirror, sigq_K)
 
 
 def theta_from_mirror_delta(
     q: int, delta_mirror: DeltaSequence, sigq_K: int, m: int = 0
-) -> ThetaValue:
+) -> Fraction:
     """Full pipeline: theta^(q)(K, m) from the delta sequence of -K.
 
     Feeds sigma^(q)(-K) = -sigma^(q)(K) into the threshold scan, then shifts

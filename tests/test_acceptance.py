@@ -57,7 +57,7 @@ def _pipeline_theta(family: str, n: int, sigma_K: int) -> Fraction:
     xi -> j -> theta."""
     delta_mirror = torus_delta_sequence(family, n)
     xs = xi_sequence(delta_mirror, -sigma_K, 2)
-    return theta(2, j_value(xs), sigma_K).value
+    return theta(2, j_value(xs), sigma_K)
 
 
 def test_criterion_1_torus_theta_closed_forms():
@@ -87,11 +87,11 @@ def test_criterion_2_torus_theta_m_closed_forms():
         dm = torus_delta_sequence("-T(3,6n-1)", n)
         dp = torus_delta_sequence("-T(3,6n+1)", n)
         for m in range(0, 21):
-            got = theta_m(2, j_value_m(dm, 8 * n, m), -8 * n).value
+            got = theta_m(2, j_value_m(dm, 8 * n, m), -8 * n)
             want = max(4 * n, 6 * n - 2 - 2 * (m // 4))
             if got != want:
                 failures.append(("6n-1", n, m, got, want))
-            got = theta_m(2, j_value_m(dp, 8 * n, m), -8 * n).value
+            got = theta_m(2, j_value_m(dp, 8 * n, m), -8 * n)
             want = max(4 * n, 6 * n - 2 * (m // 4))
             if got != want:
                 failures.append(("6n+1", n, m, got, want))

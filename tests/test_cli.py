@@ -94,6 +94,23 @@ def test_genus_bound_compare_needs_one_torus_knot(capsys):
                    "got 'T(3,7) + T(2,3)'\n")
 
 
+@pytest.mark.parametrize("text", ["(T(3,7))", "-(-T(3,7))", " T(3,7) "])
+def test_genus_bound_compare_reads_the_parsed_knot(text, capsys):
+    # any spelling of the one knot T(3,7) gets the comparison T(3,7) gets
+    argv = ["--rank", "3", "--class", "2,0,0", "--compare"]
+    want = run(capsys, "genus-bound", "--expr", "T(3,7)", *argv)
+    assert want[0] == 0 and "theta: 5   tau: 5   sig1: 3   sig2: -6" in want[1]
+    assert run(capsys, "genus-bound", "--expr", text, *argv) == want
+
+
+@pytest.mark.parametrize("text", ["-T(3,7)", "T(3,5)", "T(3,7) + T(2,3)", "T(3,7) + -T(3,7)"])
+def test_genus_bound_compare_refuses_other_knots(text, capsys):
+    code, out, err = run(capsys, "genus-bound", "--expr", text,
+                         "--rank", "3", "--class", "2,0,0", "--compare")
+    assert (code, out) == (1, "")
+    assert err == f"usage error: --compare needs a knot of the form T(3,6n+1), got {text!r}\n"
+
+
 def test_genus_bound_q3(capsys):
     code, out, _ = run(capsys, "genus-bound", "--expr", "T(2,7)", "--q", "3",
                        "--rank", "1", "--class", "0")
@@ -178,9 +195,9 @@ def test_reproduce_partial_ledger_names_missing_atoms(tmp_path, capsys):
     }))
     code, out, _ = run(capsys, "reproduce", "--ledger", str(path))
     lines = out.splitlines()
-    assert code == 3 and lines[-1] == "18/31 checks passed"
+    assert code == 3 and lines[-1] == "17/31 checks passed"
     got = [lines[i + 1] for i, line in enumerate(lines) if line.startswith("FAIL")]
-    assert len(got) == 13
+    assert len(got) == 14
     for line in got:
         missing = re.fullmatch(r"\s+got:\s+error: unknown knot atom '(.+)'", line)
         assert missing and missing[1] not in keep, line

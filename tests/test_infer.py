@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from knotconc.infer import InferenceEngine, LedgerInconsistentError, infer_theta, infer_theta_m
 from knotconc.knots import parse_expression, signed_atoms
-from knotconc.ledger import ledger_from_json, ledger_to_json, load_seed_ledger
+from knotconc.ledger import ledger_from_json, load_seed_ledger, seed_ledger_text
 
 
 def infer(L, text, q=2, **kw):
@@ -181,6 +182,30 @@ def test_infer_theta_m_interval_path():
     assert iv.lower == 2 and iv.upper == 3
 
 
+def test_infer_theta_m_properties_random():
+    """theta(K, 0) is theta(K), and theta(K, m) is non-increasing in m: its
+    lower end never rises with m and its upper end never passes theta(K)'s.
+    Every seed atom and its mirror, and seeded sums of 2 or 3 of them."""
+    L = load_seed_ledger()
+    names = sorted(L.atoms)
+    rng = random.Random(81)
+    keys = [((name, mirrored),) for name in names for mirrored in (False, True)]
+    keys += [signed_atoms((rng.choice(names), rng.random() < 0.5)
+                          for _ in range(rng.choice((2, 3)))) for _ in range(100)]
+    for key in keys:
+        for q in (2, 3):
+            base = infer_theta(L, key, q=q)
+            lowers = []
+            for m in range(9):
+                iv = infer_theta_m(L, key, q, m)
+                if m == 0:
+                    assert (iv.lower, iv.upper) == (base.lower, base.upper), key
+                if base.upper is not None:
+                    assert iv.upper is not None and iv.upper <= base.upper, (key, q, m)
+                lowers.append(iv.lower)
+            assert lowers == sorted(lowers, reverse=True), (key, q, lowers)
+
+
 # -- engine-level properties -------------------------------------------------------
 
 
@@ -231,7 +256,7 @@ def test_monotone_adding_facts_never_widens():
     """Dropping ledger facts can only loosen the interval, so the full-ledger
     interval always sits inside the sub-ledger interval."""
     full = load_seed_ledger()
-    data = ledger_to_json(full)
+    data = json.loads(seed_ledger_text())
     rng = random.Random(71)
     checked = 0
     while checked < 1000:

@@ -7,7 +7,6 @@ from knotconc.knots import parse_expression, signed_atoms
 from knotconc.ledger import (
     LedgerError,
     ledger_from_json,
-    ledger_to_json,
     load_ledger,
     load_seed_ledger,
 )
@@ -30,16 +29,6 @@ def test_seed_ledger_loads():
     assert L.quantity("T(3,7)", "g4", mirror=True)[0] == 6
     assert L.fact("T(2,5)", "ell_q", mirror=True, q=3).value == -2
     assert L.fact("T(2,5)", "ell_q", mirror=False, q=3) is None
-
-
-def test_schema_round_trip():
-    L = load_seed_ledger()
-    L2 = ledger_from_json(json.loads(json.dumps(ledger_to_json(L))))
-    assert set(L2.atoms) == set(L.atoms)
-    assert L2.facts == L.facts
-    assert [(r.plus, r.minus) for r in L2.relations] == [
-        (r.plus, r.minus) for r in L.relations
-    ]
 
 
 def test_simple_file_round_trip(tmp_path):
