@@ -20,19 +20,19 @@ doubling, tau(a)...tau^(2m)(a) = P * tau^m(P) with P = tau(a)...tau^m(a),
 in about 2 log2(q) integer multiplications and no polynomial division.
 
 Sign determination for real elements (those fixed by conjugation) embeds
-zeta at exp(2*pi*i/q) and evaluates with integer fixed-point enclosures: each
-cos(2*pi*k/q) is an integer within 1 of its value times 2^prec, so the
-integer sum of the coefficients against them lies within a known bound of
-the element times 2^prec.  The precision doubles until the sum clears that
-bound.  This terminates for every nonzero real element, so no numerical
-tolerance ever enters a result.  The table of cosines is computed once per
-(q, precision) and cached.
+zeta at exp(2*pi*i*j/q), for any j prime to q, and evaluates with integer
+fixed-point enclosures: each cos(2*pi*k/q) is an integer within 1 of its
+value times 2^prec, and cos(2*pi*j*k/q) is the table entry at min(r, q-r)
+for r = j*k mod q, so the integer sum of the coefficients against them lies
+within a known bound of the element times 2^prec.  The precision doubles
+until the sum clears that bound.  This terminates for every nonzero real
+element, so no numerical tolerance ever enters a result.  The table of
+cosines is computed once per (q, precision) and cached.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -243,9 +243,6 @@ class Cyclotomic:
             and self.num == other.num
         )
 
-    def __hash__(self) -> int:
-        return hash((self.q, self.num, self.den))
-
     def __repr__(self) -> str:
         terms = []
         for k, c in enumerate(self.coeffs):
@@ -259,26 +256,32 @@ class Cyclotomic:
 
     # -- sign of a real element --------------------------------------------
 
-    def sign(self) -> int:
-        """Sign (-1, 0, +1) of a real element under zeta -> exp(2*pi*i/q).
+    def sign(self, j: int = 1) -> int:
+        """Sign (-1, 0, +1) of a real element under zeta -> exp(2*pi*i*j/q),
+        for j prime to q; this is the sign of ``self.galois(j)``.
 
         Zero is decided exactly from the coefficients.  Otherwise the real
-        embedding sum(c_k * cos(2*pi*k/q)) is bounded by integer fixed-point
-        enclosures: with a_k = den * c_k and C_k from ``_cosines``,
-        sum(a_k * C_k) is within sum_{k>=1} |a_k| of 2^prec * den * self,
-        and den > 0.  Its sign is
-        returned once it clears twice that bound; until then the precision
-        doubles.  The sign at zeta -> exp(2*pi*i*j/q) is
-        ``self.galois(j).sign()``.
+        embedding sum(c_k * cos(2*pi*j*k/q)) is bounded by integer
+        fixed-point enclosures: with a_k = den * c_k and C from
+        ``_cosines``, cos(2*pi*j*k/q) is within 1 of C at min(r, q-r) over
+        2^prec, where r = j*k mod q, and r = 0 only at k = 0, where the
+        entry is exact.  So sum(a_k * C) is within sum_{k>=1} |a_k| of
+        2^prec * den * sigma_j(self), and den > 0.  Its sign is returned
+        once it clears twice that bound; until then the precision doubles.
         """
+        q = self.q
+        if j % q == 0:
+            raise CyclotomicError(f"zeta -> zeta^{j} is not an embedding of Q(zeta_{q})")
         if self.is_zero():
             return 0
         if not self.is_real():
             raise CyclotomicError("sign requested for a non-real element")
         slack = 2 * sum(map(abs, self.num[1:]))
+        at = [min(j * k % q, -j * k % q) for k in range(q - 1)]
         prec = _SIGN_START_PREC
         while prec <= _SIGN_MAX_PREC:
-            total = sum(map(operator.mul, self.num, _cosines(self.q, prec)))
+            cos = _cosines(q, prec)
+            total = sum(a * cos[i] for a, i in zip(self.num, at) if a)
             if abs(total) > slack:
                 return 1 if total > 0 else -1
             prec *= 2

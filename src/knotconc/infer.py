@@ -479,13 +479,15 @@ def infer_theta_m(ledger: Ledger, expr: Key, q: int, m: int) -> BoundInterval:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     engine = InferenceEngine(ledger, q)
-    query = engine.run(expr)
+    query = engine.run(expr)  # raises if the ledger is inconsistent here
     rules = engine.ledger_bounds
     base = engine.interval(query)
-    for value, _, _ in rules.r8(query, m):  # at most one, an exact value
+    # the exact value cites only the facts it reads, not the engine run's
+    exact = LedgerBounds(ledger, q)
+    for value, _, _ in exact.r8(exact.reduce(expr), m):  # at most one
         return BoundInterval(lower=value, upper=value,
                              justification=[f"exact delta sequence of the mirror with m = {m}"],
-                             provenance=base.provenance)
+                             provenance=dict(sorted(exact.provenance.items())))
     if m == 0:
         # theta(K, 0) is theta(K): the whole rule set applies
         return base

@@ -298,12 +298,10 @@ def _check_signature_facts_against_matrices(ledger: Ledger) -> None:
         atom = ledger.atoms.get(f.knot)
         if atom is None or atom.seifert is None:
             continue
-        if f.kind == "sigma":
-            computed = signatures.signature(atom.seifert)
-        elif f.kind == "sigma_q":
+        if f.kind == "sigma_q":
             computed = _sigma_q_of_matrix(atom.seifert, f.q)
-        else:
-            computed = signatures.lt_signature(atom.seifert, f.q, f.j)
+        else:  # sigma is sigma_K(-1), the one Levine-Tristram value at q = 2
+            computed = signatures.lt_signature(atom.seifert, f.q or 2, f.j or 1)
         # every Levine-Tristram signature changes sign under mirroring
         if f.mirror:
             computed = -computed

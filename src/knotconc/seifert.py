@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+# Largest size accepted by ``from_rows`` (genus 15, that of T(2,31)); exact
+# signature work grows quickly with it, so it is checked before any entry.
+MAX_SEIFERT_SIZE = 30
+
+
 class SeifertMatrixError(ValueError):
     pass
 
@@ -72,6 +77,11 @@ class SeifertMatrix:
         if not isinstance(rows, (list, tuple)) or not all(
                 isinstance(row, (list, tuple)) for row in rows):
             raise SeifertMatrixError("Seifert matrix must be a list of rows")
+        size = max([len(rows), *map(len, rows)])
+        if size > MAX_SEIFERT_SIZE:
+            raise SeifertMatrixError(
+                f"Seifert matrix size {size} is above the limit {MAX_SEIFERT_SIZE}"
+            )
         return SeifertMatrix(tuple(tuple(as_int(x) for x in row) for row in rows))
 
     @property

@@ -7,19 +7,21 @@ form
     H(omega) = (1 - omega) V + (1 - conj(omega)) V^T.
 
 We evaluate it exactly.  The form H(zeta) at the generator zeta of the
-cyclotomic field Q(zeta_q) is diagonalized by congruence over that field
-(symmetric Gaussian elimination, with the usual off-diagonal pivot trick
+cyclotomic field Q(zeta_q) is diagonalized by congruence over that field,
+one Schur complement per pivot (with the usual off-diagonal pivot trick
 when every remaining diagonal entry vanishes).  Each pivot is a nonzero real
 element of the field whose sign is certified by integer fixed-point
 enclosures.  No floating point number ever decides a signature.
 
 One elimination serves every root.  V is rational, so H(zeta^j) is the
 Galois conjugate sigma_j(H(zeta)) entry by entry, where sigma_j: zeta ->
-zeta^j.  An automorphism sends zero to zero, so the elimination at zeta^j
-makes the same pivot choices, and its pivots are sigma_j of the pivots at
-zeta.  Hence sigma_K(omega^j) is the sum of the signs of sigma_j(pivot).  A
-pivot p is real, so sigma_(q-j)(p) = conj(sigma_j(p)) = sigma_j(p) and the
-roots j and q-j have the same signature: only j <= q/2 are signed.
+zeta^j.  Every choice the elimination makes is a zero test, and sigma_j
+preserves zero tests, so whatever the pivot order, the same steps
+diagonalize H(zeta^j) with the pivots sigma_j(p).  The sign of sigma_j(p)
+is the sign of p under the embedding zeta -> exp(2*pi*i*j/q)
+(``Cyclotomic.sign(j)``), and sigma_K(omega^j) is the sum of those signs.
+A pivot p is real, so sigma_(q-j)(p) = conj(sigma_j(p)) = sigma_j(p) and
+the roots j and q-j have the same signature: only j <= q/2 are signed.
 
 At omega of prime order the form is nonsingular (roots of unity of prime
 power order are never roots of an Alexander polynomial normalized with
@@ -64,28 +66,19 @@ def _hermitian_form(V: SeifertMatrix, q: int) -> list[list[Cyclotomic]]:
     return out
 
 
-def _congruence_pivots(m: list[list[Cyclotomic]], q: int) -> list[Cyclotomic]:
+def _congruence_pivots(m: list[list[Cyclotomic]]) -> list[Cyclotomic]:
     """The diagonal of a congruence diagonalization of a Hermitian matrix
-    over Q(zeta_q); ``m`` is overwritten.  Raises SingularFormError on a
-    degenerate form."""
-    n = len(m)
-    zero = Cyclotomic.zero(q)
+    over Q(zeta_q), one Schur complement at a time; ``m`` is consumed.
+    Raises SingularFormError on a degenerate form."""
     pivots = []
-    for k in range(n):
-        # Choose a nonzero diagonal pivot, creating one from an off-diagonal
-        # entry if the remaining diagonal is entirely zero: adding a times
-        # row j to row i (and conjugate to columns) puts 2*a*conj(a) > 0 at
-        # position (i, i) when a = m[i][j] is nonzero.
-        piv_idx = next((i for i in range(k, n) if not m[i][i].is_zero()), None)
-        if piv_idx is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if not m[i][j].is_zero():
-                        off = (i, j)
-                        break
-                if off:
-                    break
+    while m:
+        k = next((i for i, row in enumerate(m) if not row[i].is_zero()), None)
+        if k is None:
+            # Every diagonal entry is zero: adding a times row j to row i
+            # (and conj(a) times column j to column i) puts 2*a*conj(a) > 0
+            # at position (i, i) when a = m[i][j] is nonzero.
+            off = next(((i, j) for i, row in enumerate(m)
+                        for j in range(i + 1, len(m)) if not row[j].is_zero()), None)
             if off is None:
                 raise SingularFormError(
                     "Hermitian form is degenerate (omega is a root of the "
@@ -94,44 +87,25 @@ def _congruence_pivots(m: list[list[Cyclotomic]], q: int) -> list[Cyclotomic]:
             i, j = off
             a = m[i][j]
             abar = a.conjugate()
-            for c in range(k, n):
-                m[i][c] = m[i][c] + a * m[j][c]
-            for r in range(k, n):
-                m[r][i] = m[r][i] + abar * m[r][j]
-            piv_idx = i
-            assert not m[i][i].is_zero()
-        if piv_idx != k:
-            m[k], m[piv_idx] = m[piv_idx], m[k]
-            for r in range(n):
-                m[r][k], m[r][piv_idx] = m[r][piv_idx], m[r][k]
-        p = m[k][k]
+            m[i] = [x + a * y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = row[i] + abar * row[j]
+            k = i
+            assert not m[k][k].is_zero()
+        row_k = m.pop(k)
+        p = row_k.pop(k)
         assert p.is_real()
         pivots.append(p)
-        p_inv = None  # inverted only if a row below needs it
-        for r in range(k + 1, n):
-            if m[r][k].is_zero():
+        p_inv = None  # inverted only if a remaining row needs it
+        for r, row in enumerate(m):
+            x = row.pop(k)
+            if x.is_zero():
                 continue
             if p_inv is None:
                 p_inv = p.inverse()
-            f = m[r][k] * p_inv
-            for c in range(k + 1, n):
-                m[r][c] = m[r][c] - f * m[k][c]
-            m[r][k] = zero
-        for c in range(k + 1, n):
-            m[k][c] = zero
+            f = x * p_inv
+            m[r] = [y - f * z for y, z in zip(row, row_k)]
     return pivots
-
-
-def _pivots(V: SeifertMatrix, q: int) -> list[Cyclotomic]:
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    return _congruence_pivots(_hermitian_form(V, q), q)
-
-
-def _signature_at(pivots: list[Cyclotomic], j: int) -> int:
-    sig = sum(p.galois(j).sign() for p in pivots)
-    assert sig % 2 == 0 and abs(sig) <= len(pivots)
-    return sig
 
 
 def lt_signatures(V: SeifertMatrix, q: int) -> tuple[int, ...]:
@@ -140,8 +114,14 @@ def lt_signatures(V: SeifertMatrix, q: int) -> tuple[int, ...]:
 
     q must be prime.  Every entry is exact and even.
     """
-    pivots = _pivots(V, q)
-    half = [_signature_at(pivots, j) for j in range(1, q // 2 + 1)]
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    pivots = _congruence_pivots(_hermitian_form(V, q))
+    half = []
+    for j in range(1, q // 2 + 1):
+        sig = sum(p.sign(j) for p in pivots)
+        assert sig % 2 == 0 and abs(sig) <= len(pivots)
+        half.append(sig)
     return tuple(half[min(j, q - j) - 1] for j in range(1, q))
 
 
@@ -153,12 +133,12 @@ def lt_signature(V: SeifertMatrix, q: int, j: int) -> int:
     """
     if not 1 <= j <= q - 1:
         raise ValueError(f"need 1 <= j <= q-1, got j={j}, q={q}")
-    return _signature_at(_pivots(V, q), j)
+    return lt_signatures(V, q)[j - 1]
 
 
 def signature(V: SeifertMatrix) -> int:
     """Ordinary knot signature sigma(K) = sigma_K(-1)."""
-    return lt_signature(V, 2, 1)
+    return lt_signatures(V, 2)[0]
 
 
 def sigma_q(V: SeifertMatrix, q: int) -> int:

@@ -373,8 +373,9 @@ def test_q_limit(capsys):
     assert "at most 97" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("matrix", ["5", "[[-1,1],5]", "[" * 100_000, "[" + "9" * 5000 + "]"],
-                         ids=["int", "row-int", "nested-too-deep", "huge-integer"])
+@pytest.mark.parametrize("matrix", ["5", "[[-1,1],5]", "[" * 100_000, "[" + "9" * 5000 + "]",
+                                    json.dumps([[0] * 32] * 32)],
+                         ids=["int", "row-int", "nested-too-deep", "huge-integer", "32x32"])
 def test_bad_matrix_exit_1(matrix, capsys):
     code, out, err = run(capsys, "sig", "--matrix", matrix)
     assert code == 1 and out == ""
@@ -409,6 +410,7 @@ MALFORMED_LEDGERS = {
     "delta-increasing": _ledger(facts=[_delta_seq([1, 5])]),
     "q-above-limit": _ledger(facts=[_fact(kind="sigma_q", q=1009, value=-4)]),
     "q-huge-prime": _ledger(facts=[_fact(kind="sigma_q", q=2 ** 89 - 1, value=-4)]),
+    "seifert-32x32": _ledger(atoms=[{"name": "K", "seifert": [[0] * 32] * 32}]),
     "mirror-sigma-disagrees": _ledger(atoms=[{"name": "K"}], facts=[
         _fact(kind="sigma", value=-2), _fact(knot="-K", kind="sigma", value=-2)]),
     "mirror-g4-disagrees": _ledger(atoms=[{"name": "K"}], facts=[

@@ -173,6 +173,19 @@ def test_sign_matches_float_evaluation():
             assert re.sign() == (1 if approx > 0 else -1)
 
 
+def test_sign_under_each_embedding_is_the_sign_of_the_conjugate():
+    rng = random.Random(15)
+    for q in (2, 3, 5, 7, 11, 13, 31):
+        for _ in range(10):
+            a = random_element(rng, q)
+            x = a + a.conjugate()
+            for j in range(1, q):
+                assert x.sign(j) == x.galois(j).sign(), (x, j)
+            for j in (0, q):
+                with pytest.raises(CyclotomicError):
+                    x.sign(j)
+
+
 def test_sign_rejects_non_real():
     z = Cyclotomic.zeta_power(5, 1)
     with pytest.raises(CyclotomicError):

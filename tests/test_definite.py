@@ -132,17 +132,6 @@ def test_compare_bounds_tables():
     assert c.best() == 20
 
 
-def test_compare_bounds_grid_theta_dominates_tau():
-    """theta bound >= tau bound over the whole n <= 4, r <= 6, |x_i| <= 3
-    grid, all values exact integers."""
-    for n in range(1, 5):
-        for r in range(1, 7):
-            for x in itertools.product(range(-3, 4), repeat=r):
-                c = compare_bounds(n, x, r)
-                assert c.theta_bound.denominator == 1
-                assert c.theta_bound >= c.tau_bound, (n, r, x)
-
-
 def test_compare_bounds_bad_input():
     with pytest.raises(ValueError):
         compare_bounds(0, (0,), 1)

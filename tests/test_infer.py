@@ -175,6 +175,26 @@ def test_infer_theta_m_exact_torus():
         assert iv.exact and iv.value == want
 
 
+def test_infer_theta_m_exact_cites_only_what_it_reads():
+    # R8 reads the mirror's delta sequence and sigma; the reduction reads
+    # the slice flags of the summands it drops
+    L = load_seed_ledger()
+    torus = {"delta_seq(-T(3,7), q=2)", "sigma(T(3,7))"}
+    for text, cited in (("T(3,7)", torus),
+                        ("T(3,7) + unknot + 9_46", torus | {"slice(unknot)", "slice(9_46)"})):
+        for m in (0, 4):
+            iv = infer_theta_m(L, parse_expression(text), 2, m)
+            assert iv.exact and set(iv.provenance) == cited, (text, m)
+    # the engine still runs first: a ledger that contradicts the exact value
+    # is reported, not cited around
+    data = json.loads(seed_ledger_text())
+    for f in data["facts"]:
+        if (f["knot"], f["kind"]) == ("T(3,7)", "g4"):
+            f["value"] = 2
+    with pytest.raises(LedgerInconsistentError):
+        infer_theta_m(ledger_from_json(data), parse_expression("T(3,7)"), 2, 4)
+
+
 def test_infer_theta_m_interval_path():
     L = load_seed_ledger()
     iv = infer_theta_m(L, parse_expression("T(2,7)"), 3, 4)

@@ -167,6 +167,14 @@ def test_signature_fact_must_match_matrix():
     assert len(L.facts) == 4
 
 
+def test_seifert_matrix_above_the_size_limit_rejected():
+    # refused before any entry is read, so non-integer entries go unreported
+    for rows in ([[0] * 32] * 32, [["x"] * 32] * 32, [[0] * 31]):
+        with pytest.raises(LedgerError, match="size (32|31) is above the limit 30"):
+            ledger_from_json(minimal(atoms=[{"name": "K", "seifert": rows}]))
+    assert load_seed_ledger().atoms["T(2,31)"].seifert.size == 30
+
+
 def test_relation_with_unknown_atom_rejected():
     with pytest.raises(LedgerError):
         ledger_from_json(minimal(relations=[{"plus": "K", "minus": "mystery"}]))

@@ -65,7 +65,7 @@ def test_bad_arguments():
 def test_singular_form_reported():
     zero = Cyclotomic.zero(3)
     with pytest.raises(SingularFormError):
-        _congruence_pivots([[zero, zero], [zero, zero]], 3)
+        _congruence_pivots([[zero, zero], [zero, zero]])
 
 
 def test_conjugation_symmetry_random():
