@@ -339,8 +339,11 @@ def build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     expr_help = (f"knot expression; parentheses and mirror signs nest at most "
                  f"{MAX_NESTING} deep, and a query whose inference universe needs "
-                 f"more than {MAX_NODES} nodes (2 prod(c_i + 1) - 2 for summand "
-                 f"counts c_i: at most 10 distinct summands) exits 2")
+                 f"more than {MAX_NODES} nodes exits 2 (2 prod(c_i + 1) - 2 for "
+                 f"summand counts c_i, so at most 10 distinct summands; the "
+                 f"crossing-change partners of relation atoms count too, and a "
+                 f"query they push past the limit exits 2 while its universe is "
+                 f"built)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sig", parents=[common],

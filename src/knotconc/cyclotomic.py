@@ -3,7 +3,10 @@
 Elements are stored in the power basis 1, zeta, ..., zeta^(q-2) of a fixed
 primitive q-th root of unity zeta, as an integer coefficient vector over a
 single positive common denominator (cheaper than per-coefficient rationals
-in the congruence-elimination hot path).  Reduction uses the minimal
+in the congruence-elimination hot path).  They are built the same way, from
+q - 1 integer numerators over one integer denominator, and every element,
+built or computed, is stored normalized: the denominator positive and
+coprime to the numerators.  Reduction uses the minimal
 polynomial
 
     Phi_q(x) = 1 + x + ... + x^(q-1),
@@ -35,7 +38,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 _SIGN_START_PREC = 64
 _SIGN_MAX_PREC = 1 << 15
@@ -86,23 +88,36 @@ def _normalized(q: int, num: list[int], den: int) -> "Cyclotomic":
     return out
 
 
+def _folded(q: int, acc: list[int], den: int) -> "Cyclotomic":
+    """sum(acc[k] * zeta^k for k = 0..q-1) / den, with the top power folded
+    by zeta^(q-1) = -(1 + zeta + ... + zeta^(q-2)); ``acc`` is consumed."""
+    top = acc.pop()
+    return _normalized(q, [c - top for c in acc] if top else acc, den)
+
+
 class Cyclotomic:
-    """An element of Q(zeta_q), q prime, in the power basis of zeta_q."""
+    """An element of Q(zeta_q), q prime, in the power basis of zeta_q.
+
+    ``Cyclotomic(q, num, den)`` is the element
+    sum(num[k] * zeta^k for k = 0..q-2) / den, from q - 1 integer numerators
+    over a nonzero integer denominator."""
 
     __slots__ = ("q", "num", "den")
 
-    def __init__(self, q: int, coeffs: Iterable):
+    def __new__(cls, q: int, num, den: int = 1) -> "Cyclotomic":
         if not is_prime(q):
             raise CyclotomicError(f"q must be prime, got {q}")
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != q - 1:
+        num = list(num)
+        if len(num) != q - 1:
             raise CyclotomicError(
-                f"need {q - 1} coefficients for Q(zeta_{q}), got {len(cs)}"
+                f"need {q - 1} numerators for Q(zeta_{q}), got {len(num)}"
             )
-        den = math.lcm(*(c.denominator for c in cs)) if cs else 1
-        self.q = q
-        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self.den = den
+        for a in (*num, den):
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise CyclotomicError(f"numerators and denominator must be integers, got {a!r}")
+        if den == 0:
+            raise CyclotomicError("denominator must be nonzero")
+        return _normalized(q, num, den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -128,13 +143,9 @@ class Cyclotomic:
     @staticmethod
     def zeta_power(q: int, k: int) -> "Cyclotomic":
         """zeta_q^k, any integer k."""
-        k %= q
-        num = [0] * (q - 1)
-        if k == q - 1:
-            num = [-1] * (q - 1)  # zeta^(q-1) = -(1 + ... + zeta^(q-2))
-        else:
-            num[k] = 1
-        return _normalized(q, num, 1)
+        acc = [0] * q
+        acc[k % q] = 1
+        return _folded(q, acc, 1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -162,8 +173,7 @@ class Cyclotomic:
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
         q = self.q
-        # integer convolution with exponents mod q (zeta^q = 1), then fold
-        # the single remaining exponent q-1
+        # integer convolution with exponents mod q (zeta^q = 1)
         acc = [0] * q
         for i, a in enumerate(self.num):
             if not a:
@@ -171,18 +181,7 @@ class Cyclotomic:
             for j, b in enumerate(other.num):
                 if b:
                     acc[(i + j) % q] += a * b
-        top = acc[q - 1]
-        if top:
-            num = [c - top for c in acc[: q - 1]]
-        else:
-            num = acc[: q - 1]
-        return _normalized(q, num, self.den * other.den)
-
-    def scale(self, a) -> "Cyclotomic":
-        f = Fraction(a)
-        return _normalized(
-            self.q, [x * f.numerator for x in self.num], self.den * f.denominator
-        )
+        return _folded(q, acc, self.den * other.den)
 
     def galois(self, j: int) -> "Cyclotomic":
         """The automorphism sigma_j: zeta -> zeta^j, for j prime to q."""
@@ -193,12 +192,7 @@ class Cyclotomic:
         for k, a in enumerate(self.num):
             if a:
                 acc[(j * k) % q] += a
-        top = acc[q - 1]
-        if top:
-            num = [c - top for c in acc[: q - 1]]
-        else:
-            num = acc[: q - 1]
-        return _normalized(q, num, self.den)
+        return _folded(q, acc, self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the automorphism zeta -> zeta^(-1)."""
@@ -222,8 +216,8 @@ class Cyclotomic:
             if bit == "1":
                 rest = self.galois(g) * rest.galois(g)
                 m += 1
-        norm = rest * self
-        out = rest.scale(Fraction(norm.den, norm.num[0]))
+        norm = rest * self  # rational: norm.num[0] / norm.den
+        out = _normalized(q, [a * norm.den for a in rest.num], rest.den * norm.num[0])
         assert out * self == Cyclotomic.one(q)
         return out
 

@@ -313,7 +313,8 @@ def _check_signature_facts_against_matrices(ledger: Ledger) -> None:
 
 
 def _check_cross_facts(ledger: Ledger) -> None:
-    """Consistency between delta sequences and total signatures."""
+    """Consistency between delta sequences and total signatures: each term
+    is congruent to -sigma^(q)/2 mod 4 and the stable value is -sigma^(q)/2."""
     for f in ledger.facts.values():
         if f.kind != "delta_seq":
             continue
@@ -321,11 +322,6 @@ def _check_cross_facts(ledger: Ledger) -> None:
         if sigq is None:
             continue
         seq: DeltaSequence = f.value
-        bound = Fraction(-sigq, 2)
-        if seq.stable < bound:
-            raise LedgerError(
-                f"{f.describe()}: stabilizes at {seq.stable} < -sigma^({f.q})/2 = {bound}"
-            )
         for jdx in range(seq.prefix_len() + 1):
             v = seq.value_at(jdx)
             if (Fraction(v, 4) + Fraction(sigq, 8)).denominator != 1:
@@ -333,6 +329,13 @@ def _check_cross_facts(ledger: Ledger) -> None:
                     f"{f.describe()}: delta_{jdx} = {v} is not congruent to "
                     f"-sigma^({f.q})/2 mod 4 (sigma^({f.q}) = {sigq})"
                 )
+        # a stable value below -sigma/2 is impossible, and the theta scan
+        # (j_value_m at m = 0) needs it at most -sigma/2
+        bound = Fraction(-sigq, 2)
+        if seq.stable != bound:
+            raise LedgerError(
+                f"{f.describe()}: stabilizes at {seq.stable} != -sigma^({f.q})/2 = {bound}"
+            )
 
 
 def _check_relations(ledger: Ledger) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-# Largest size accepted by ``from_rows`` (genus 15, that of T(2,31)); exact
+# Largest size of a Seifert matrix (genus 15, that of T(2,31)); exact
 # signature work grows quickly with it, so it is checked before any entry.
 MAX_SEIFERT_SIZE = 30
 
@@ -48,41 +48,35 @@ class SeifertMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n:
-                raise SeifertMatrixError("Seifert matrix must be square")
-            for x in row:
-                if not isinstance(x, int):
-                    raise SeifertMatrixError("Seifert matrix entries must be integers")
-        if n % 2 != 0:
-            raise SeifertMatrixError(f"Seifert matrix must have even size, got {n}")
-        if n > 0:
-            skew = [
-                [self.rows[i][j] - self.rows[j][i] for j in range(n)] for i in range(n)
-            ]
-            d = _det_int(skew)
-            if d not in (1, -1):
-                raise SeifertMatrixError(
-                    f"det(V - V^T) = {d}, expected +/-1 (matrix does not present a knot)"
-                )
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "SeifertMatrix":
-        def as_int(x):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise SeifertMatrixError(f"Seifert matrix entries must be integers, got {x!r}")
-            return x
-
-        if not isinstance(rows, (list, tuple)) or not all(
-                isinstance(row, (list, tuple)) for row in rows):
-            raise SeifertMatrixError("Seifert matrix must be a list of rows")
-        size = max([len(rows), *map(len, rows)])
+        rows = self.rows
+        n = len(rows)
+        size = max([n, *map(len, rows)])
         if size > MAX_SEIFERT_SIZE:
             raise SeifertMatrixError(
                 f"Seifert matrix size {size} is above the limit {MAX_SEIFERT_SIZE}"
             )
-        return SeifertMatrix(tuple(tuple(as_int(x) for x in row) for row in rows))
+        for row in rows:
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise SeifertMatrixError(
+                        f"Seifert matrix entries must be integers, got {x!r}")
+        if any(len(row) != n for row in rows):
+            raise SeifertMatrixError("Seifert matrix must be square")
+        if n % 2 != 0:
+            raise SeifertMatrixError(f"Seifert matrix must have even size, got {n}")
+        d = _det_int([[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)])
+        if d not in (1, -1):
+            raise SeifertMatrixError(
+                f"det(V - V^T) = {d}, expected +/-1 (matrix does not present a knot)"
+            )
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[int]]) -> "SeifertMatrix":
+        """The matrix with the given list (or tuple) of rows."""
+        if not isinstance(rows, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in rows):
+            raise SeifertMatrixError("Seifert matrix must be a list of rows")
+        return SeifertMatrix(tuple(map(tuple, rows)))
 
     @property
     def size(self) -> int:

@@ -48,22 +48,15 @@ class SingularFormError(ArithmeticError):
 
 
 def _hermitian_form(V: SeifertMatrix, q: int) -> list[list[Cyclotomic]]:
-    """H(zeta) for the generator zeta of Q(zeta_q)."""
-    n = V.size
-    omega = Cyclotomic.zeta_power(q, 1)
-    omega_bar = omega.conjugate()
-    one = Cyclotomic.one(q)
-    a = one - omega
-    b = one - omega_bar
+    """H(zeta) for the generator zeta of Q(zeta_q).  Entry (r, c) is
+    V[r][c] (1 - zeta) + V[c][r] (1 - conj(zeta)), built straight from the
+    integer numerators u of 1 - zeta and w of 1 - conj(zeta)."""
+    one, zeta = Cyclotomic.one(q), Cyclotomic.zeta_power(q, 1)
+    u, w = (one - zeta).num, (one - zeta.conjugate()).num  # both over 1
     rows = V.rows
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            entry = a.scale(rows[r][c]) + b.scale(rows[c][r])
-            row.append(entry)
-        out.append(row)
-    return out
+    return [[Cyclotomic(q, [a * x + b * y for x, y in zip(u, w)])
+             for a, b in zip(row, column)]
+            for row, column in zip(rows, zip(*rows))]
 
 
 def _congruence_pivots(m: list[list[Cyclotomic]]) -> list[Cyclotomic]:

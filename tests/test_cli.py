@@ -280,6 +280,19 @@ def test_bad_ledger_exit_2(tmp_path, capsys):
     assert code == 2 and "sigma must be even" in err
 
 
+def test_delta_seq_stable_above_half_sigma_exit_2(tmp_path, capsys):
+    # sigma(-K) = 2, so the mirror's delta sequence must stabilize at -1; one
+    # that stops at 3 is refused at load, not by each theta query that reads it
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(_ledger(facts=[_fact(
+        knot="-K", kind="delta_seq", q=2, value={"values": [], "stable": 3})])))
+    for args in (("theta", "--expr", "K"), ("theta-m", "--expr", "K", "--m", "5")):
+        code, out, err = run(capsys, *args, "--ledger", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: delta_seq(-K, q=2): stabilizes at 3 != "
+                       "-sigma^(2)/2 = -1\n"), args
+
+
 def test_python_m_entry_point():
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(

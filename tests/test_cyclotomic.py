@@ -9,8 +9,9 @@ from knotconc.cyclotomic import Cyclotomic, CyclotomicError, _cosines, is_prime
 
 
 def random_element(rng, q, span=6):
-    return Cyclotomic(q, [Fraction(rng.randint(-span, span), rng.randint(1, 4))
-                          for _ in range(q - 1)])
+    cs = [Fraction(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(q - 1)]
+    den = math.lcm(*(c.denominator for c in cs))
+    return Cyclotomic(q, [c.numerator * (den // c.denominator) for c in cs], den)
 
 
 def to_complex(a: Cyclotomic) -> complex:
@@ -202,4 +203,33 @@ def test_mixed_fields_rejected():
     with pytest.raises(CyclotomicError):
         Cyclotomic.one(3) + Cyclotomic.one(5)
     with pytest.raises(CyclotomicError):
-        Cyclotomic(4, [Fraction(1)] * 3)
+        Cyclotomic.one(3) * Cyclotomic.one(5)
+
+
+@pytest.mark.parametrize("args", [
+    (4, [1, 0, 0]),                # q not prime
+    (1, []),
+    (5, [1, 0, 0]),                # wrong length
+    (5, [1, 0, 0, 0, 0]),
+    (5, [1, 0.0, 0, 0]),           # numerators must be int, bool refused
+    (5, [Fraction(1, 2), 0, 0, 0]),
+    (5, [True, 0, 0, 0]),
+    (5, [1, 0, 0, 0], 0),          # denominator must be a nonzero int
+    (5, [1, 0, 0, 0], 2.0),
+    (5, [1, 0, 0, 0], True),
+])
+def test_constructor_refuses(args):
+    with pytest.raises(CyclotomicError):
+        Cyclotomic(*args)
+
+
+def test_constructor_stores_the_normalized_element():
+    q = 5
+    z = Cyclotomic.zeta_power
+    want = (Cyclotomic.from_rational(q, Fraction(-1, 2)) + z(q, 1)
+            - Cyclotomic.from_rational(q, Fraction(3, 2)) * z(q, 2))
+    a = Cyclotomic(q, [2, -4, 6, 0], -4)
+    assert a == want
+    assert (a.num, a.den) == ((-1, 2, -3, 0), 2)
+    assert Cyclotomic(q, (0, 0, 0, 0), -7) == Cyclotomic.zero(q)
+    assert Cyclotomic(q, [-1] * 4) == z(q, 4)

@@ -113,7 +113,7 @@ def test_mirror_fact_key_is_distinct():
 
 def test_delta_seq_stabilization_checked_against_sigma():
     # K has sigma = -2 from its Seifert matrix (trefoil), so the delta
-    # sequence must stabilize at a value >= 1
+    # sequence must stabilize at exactly 1
     with pytest.raises(LedgerError, match="stabilizes"):
         ledger_from_json(minimal(facts=[
             {"knot": "K", "kind": "delta_seq", "q": 2,
@@ -124,6 +124,13 @@ def test_delta_seq_stabilization_checked_against_sigma():
         ledger_from_json(minimal(facts=[
             {"knot": "K", "kind": "delta_seq", "q": 2,
              "value": {"values": [], "stable": 3}, "provenance": "t"},
+        ]))
+    # and it must not stabilize above -sigma/2 either: the theta scan could
+    # never reach its threshold
+    with pytest.raises(LedgerError, match="stabilizes at 5 != -sigma"):
+        ledger_from_json(minimal(facts=[
+            {"knot": "K", "kind": "delta_seq", "q": 2,
+             "value": {"values": [], "stable": 5}, "provenance": "t"},
         ]))
     L = ledger_from_json(minimal(facts=[
         {"knot": "K", "kind": "delta_seq", "q": 2,

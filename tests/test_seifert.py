@@ -3,6 +3,7 @@ import random
 import pytest
 
 from knotconc.seifert import (
+    MAX_SEIFERT_SIZE,
     SeifertMatrix,
     SeifertMatrixError,
     UNKNOT_MATRIX,
@@ -57,6 +58,26 @@ def test_block_sum_sizes():
     assert s.size == a.size + b.size
     assert s.rows[0][:2] == a.rows[0]
     assert s.rows[2][2:] == b.rows[0]
+
+
+def test_block_sum_above_the_limit_refused():
+    V = two_strand_torus_matrix(17)
+    assert V.block_sum(two_strand_torus_matrix(15)).size == MAX_SEIFERT_SIZE
+    with pytest.raises(SeifertMatrixError, match="size 32 is above the limit 30"):
+        V.block_sum(V)
+
+
+def test_constructor_checks_what_from_rows_checks():
+    # SeifertMatrix itself validates; from_rows only adapts lists of rows
+    with pytest.raises(SeifertMatrixError, match="integers, got True"):
+        SeifertMatrix(((True, 1), (0, 1)))
+    with pytest.raises(SeifertMatrixError, match="above the limit"):
+        SeifertMatrix(((None,) * 32,) * 32)  # the size is checked before entries
+    with pytest.raises(SeifertMatrixError, match="above the limit"):
+        SeifertMatrix(((0, 1), (0,) * 31))   # and a long row counts too
+    with pytest.raises(SeifertMatrixError, match="square"):
+        SeifertMatrix(((-1, 1), (0,)))
+    assert SeifertMatrix.from_rows([[-1, 1], [0, -1]]) == two_strand_torus_matrix(3)
 
 
 def test_two_strand_family():

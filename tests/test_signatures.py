@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -120,7 +121,6 @@ def test_lt_signatures_match_float_oracle_and_per_j_calls():
         q = (2, 3, 5, 7, 11)[i % 5]
         per_j = lt_signatures(V, q)
         assert len(per_j) == q - 1
-        assert per_j == tuple(lt_signature(V, q, j) for j in range(1, q))
         assert sigma_q(V, q) == sum(per_j)
         for j, value in enumerate(per_j, start=1):
             approx = float_lt_signature(V, q, j)
@@ -128,3 +128,64 @@ def test_lt_signatures_match_float_oracle_and_per_j_calls():
                 assert value == approx, (V.rows, q, j)
                 checked += 1
     assert checked >= 150
+
+
+def litherland_two_strand(k, q, j):
+    """sigma_K(exp(2*pi*i*j/q)) for K = T(2,k), k odd, by Litherland's count:
+    with x = j/q, the sums 1/2 + i/k (i = 1..k-1) outside (x, x + 1) count
+    +1 and those inside count -1 (so sigma(T(2,3)) = -2).  No sum equals x
+    or x + 1: in lowest terms (k + 2i)/(2k) has an even denominator, j/q has
+    an odd one for odd q, and for q = 2 equality would need i = 0 or i = k.
+    So exact comparisons decide every term."""
+    x = Fraction(j, q)
+    inside = sum(x < Fraction(1, 2) + Fraction(i, k) < x + 1 for i in range(1, k))
+    return k - 1 - 2 * inside
+
+
+def test_two_strand_torus_matches_litherland():
+    assert litherland_two_strand(3, 2, 1) == -2
+    for k in range(3, 32, 2):
+        V = two_strand_torus_matrix(k)
+        for q in (2, 3, 5, 7, 11, 13):
+            want = tuple(litherland_two_strand(k, q, j) for j in range(1, q))
+            assert lt_signatures(V, q) == want, (k, q)
+
+
+# (genus, span, zero_diagonal, then sigma_K(omega^j) for j = 1..(q-1)/2 at
+# q = 3, 7 and 13) for consecutive random_seifert draws from
+# random.Random(36); the other half of each tuple is the mirror image, by
+# conjugation symmetry.
+PINNED_LT_SIGNATURES = [
+    (1, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (2, 9, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (3, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (4, 3, True, (0,), (0, 0, 0), (-2, 0, 0, 0, 0, 0)),
+    (5, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (6, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (1, 9, False, (-2,), (-2, -2, -2), (-2, -2, -2, -2, -2, -2)),
+    (2, 3, False, (0,), (0, 0, 0), (2, 0, 0, 0, 0, 0)),
+    (3, 3, True, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (4, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (5, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (6, 9, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (1, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (2, 3, True, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (3, 3, False, (-2,), (-2, -2, -2), (0, -2, -2, -2, -2, -2)),
+    (4, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (5, 9, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (6, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (1, 3, True, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (2, 3, False, (-2,), (-2, -2, -2), (-2, -2, -2, -2, -2, -2)),
+    (3, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (4, 9, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (5, 3, False, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    (6, 3, True, (0,), (0, 0, 0), (0, 0, 0, 0, 0, 0)),
+]
+
+
+def test_pinned_lt_signatures():
+    rng = random.Random(36)
+    for genus, span, zero_diagonal, *halves in PINNED_LT_SIGNATURES:
+        V = random_seifert(rng, genus, span=span, zero_diagonal=zero_diagonal)
+        for q, half in zip((3, 7, 13), halves):
+            assert lt_signatures(V, q) == half + half[::-1], (V.rows, q)
