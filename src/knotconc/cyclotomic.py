@@ -68,6 +68,12 @@ class CyclotomicError(ValueError):
     pass
 
 
+def _check_field(q: int) -> None:
+    """The one check of the field order that every constructor makes."""
+    if not is_prime(q):
+        raise CyclotomicError(f"q must be prime, got {q}")
+
+
 def _normalized(q: int, num: list[int], den: int) -> "Cyclotomic":
     if den < 0:
         num = [-a for a in num]
@@ -88,6 +94,19 @@ def _normalized(q: int, num: list[int], den: int) -> "Cyclotomic":
     return out
 
 
+def _convolved(q: int, x: tuple[int, ...], y: tuple[int, ...]) -> list[int]:
+    """The q coefficients of (sum x_i zeta^i)(sum y_j zeta^j) in powers
+    zeta^0..zeta^(q-1), exponents taken mod q (zeta^q = 1), not folded."""
+    acc = [0] * q
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(y):
+            if b:
+                acc[(i + j) % q] += a * b
+    return acc
+
+
 def _folded(q: int, acc: list[int], den: int) -> "Cyclotomic":
     """sum(acc[k] * zeta^k for k = 0..q-1) / den, with the top power folded
     by zeta^(q-1) = -(1 + zeta + ... + zeta^(q-2)); ``acc`` is consumed."""
@@ -105,8 +124,7 @@ class Cyclotomic:
     __slots__ = ("q", "num", "den")
 
     def __new__(cls, q: int, num, den: int = 1) -> "Cyclotomic":
-        if not is_prime(q):
-            raise CyclotomicError(f"q must be prime, got {q}")
+        _check_field(q)
         num = list(num)
         if len(num) != q - 1:
             raise CyclotomicError(
@@ -127,6 +145,7 @@ class Cyclotomic:
 
     @staticmethod
     def zero(q: int) -> "Cyclotomic":
+        _check_field(q)
         return _normalized(q, [0] * (q - 1), 1)
 
     @staticmethod
@@ -135,6 +154,7 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(q: int, a) -> "Cyclotomic":
+        _check_field(q)
         f = Fraction(a)
         num = [0] * (q - 1)
         num[0] = f.numerator
@@ -143,6 +163,7 @@ class Cyclotomic:
     @staticmethod
     def zeta_power(q: int, k: int) -> "Cyclotomic":
         """zeta_q^k, any integer k."""
+        _check_field(q)
         acc = [0] * q
         acc[k % q] = 1
         return _folded(q, acc, 1)
@@ -172,16 +193,20 @@ class Cyclotomic:
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
+        return _folded(self.q, _convolved(self.q, self.num, other.num), self.den * other.den)
+
+    def sub_mul(self, f: "Cyclotomic", w: "Cyclotomic") -> "Cyclotomic":
+        """self - f * w from one convolution, one fold and one
+        normalization: the Schur-complement update of the congruence
+        elimination."""
+        self._check(f)
+        self._check(w)
         q = self.q
-        # integer convolution with exponents mod q (zeta^q = 1)
-        acc = [0] * q
-        for i, a in enumerate(self.num):
-            if not a:
-                continue
-            for j, b in enumerate(other.num):
-                if b:
-                    acc[(i + j) % q] += a * b
-        return _folded(q, acc, self.den * other.den)
+        acc = _convolved(q, f.num, w.num)
+        top = acc[-1]
+        d, e = self.den, f.den * w.den
+        # self - f*w = (num * e - (acc - top) * d) / (d * e), acc folded
+        return _normalized(q, [a * e - (c - top) * d for a, c in zip(self.num, acc)], d * e)
 
     def galois(self, j: int) -> "Cyclotomic":
         """The automorphism sigma_j: zeta -> zeta^j, for j prime to q."""

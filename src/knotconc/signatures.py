@@ -13,6 +13,15 @@ when every remaining diagonal entry vanishes).  Each pivot is a nonzero real
 element of the field whose sign is certified by integer fixed-point
 enclosures.  No floating point number ever decides a signature.
 
+Only the upper triangle is stored and updated.  A Schur complement of a
+Hermitian matrix is Hermitian: below the diagonal, m_cr - m_ck p^(-1) m_kr
+is the conjugate of m_rc - m_rk p^(-1) m_kc, because the pivot p is real
+and conj(m_ck) = m_kc.  The field is commutative and every element is
+stored normalized, so that conjugate is the very (numerators, denominator)
+pair a full update would compute, and reading an entry below the diagonal
+as the conjugate of the one above loses nothing.  Each update
+m_rc - f m_kc is one fused multiply-subtract (``Cyclotomic.sub_mul``).
+
 One elimination serves every root.  V is rational, so H(zeta^j) is the
 Galois conjugate sigma_j(H(zeta)) entry by entry, where sigma_j: zeta ->
 zeta^j.  Every choice the elimination makes is a zero test, and sigma_j
@@ -48,56 +57,67 @@ class SingularFormError(ArithmeticError):
 
 
 def _hermitian_form(V: SeifertMatrix, q: int) -> list[list[Cyclotomic]]:
-    """H(zeta) for the generator zeta of Q(zeta_q).  Entry (r, c) is
+    """The upper triangle of H(zeta) for the generator zeta of Q(zeta_q):
+    row r lists the entries (r, c) for c = r..n-1.  Entry (r, c) is
     V[r][c] (1 - zeta) + V[c][r] (1 - conj(zeta)), built straight from the
     integer numerators u of 1 - zeta and w of 1 - conj(zeta)."""
     one, zeta = Cyclotomic.one(q), Cyclotomic.zeta_power(q, 1)
     u, w = (one - zeta).num, (one - zeta.conjugate()).num  # both over 1
     rows = V.rows
     return [[Cyclotomic(q, [a * x + b * y for x, y in zip(u, w)])
-             for a, b in zip(row, column)]
-            for row, column in zip(rows, zip(*rows))]
+             for a, b in zip(row[r:], column[r:])]
+            for r, (row, column) in enumerate(zip(rows, zip(*rows)))]
 
 
 def _congruence_pivots(m: list[list[Cyclotomic]]) -> list[Cyclotomic]:
     """The diagonal of a congruence diagonalization of a Hermitian matrix
-    over Q(zeta_q), one Schur complement at a time; ``m`` is consumed.
-    Raises SingularFormError on a degenerate form."""
+    over Q(zeta_q), one Schur complement at a time.  ``m`` is the upper
+    triangle, row r holding the entries (r, c) for c >= r in the current
+    order, and is consumed.  Raises SingularFormError on a degenerate
+    form."""
     pivots = []
     while m:
-        k = next((i for i, row in enumerate(m) if not row[i].is_zero()), None)
+        k = next((i for i, row in enumerate(m) if not row[0].is_zero()), None)
         if k is None:
-            # Every diagonal entry is zero: adding a times row j to row i
-            # (and conj(a) times column j to column i) puts 2*a*conj(a) > 0
-            # at position (i, i) when a = m[i][j] is nonzero.
-            off = next(((i, j) for i, row in enumerate(m)
-                        for j in range(i + 1, len(m)) if not row[j].is_zero()), None)
+            off = next(((i, i + d) for i, row in enumerate(m)
+                        for d in range(1, len(row)) if not row[d].is_zero()), None)
             if off is None:
                 raise SingularFormError(
                     "Hermitian form is degenerate (omega is a root of the "
                     "Alexander polynomial)"
                 )
+            # Every diagonal entry is zero: adding a times row j to row i
+            # (and conj(a) times column j to column i) puts 2*a*conj(a) > 0
+            # at position (i, i) when a = m[i][j] is nonzero.  Rare, so it
+            # is done on the full matrix, rebuilt from the upper triangle.
             i, j = off
-            a = m[i][j]
+            n = len(m)
+            full = [[m[r][c - r] if c >= r else m[c][r - c].conjugate() for c in range(n)]
+                    for r in range(n)]
+            a = full[i][j]
             abar = a.conjugate()
-            m[i] = [x + a * y for x, y in zip(m[i], m[j])]
-            for row in m:
+            full[i] = [x + a * y for x, y in zip(full[i], full[j])]
+            for row in full:
                 row[i] = row[i] + abar * row[j]
+            m = [row[r:] for r, row in enumerate(full)]
             k = i
-            assert not m[k][k].is_zero()
-        row_k = m.pop(k)
-        p = row_k.pop(k)
+            assert not m[k][0].is_zero()
+        upper = m.pop(k)
+        p = upper[0]
         assert p.is_real()
         pivots.append(p)
+        # row k of the full matrix without column k, in the order left:
+        # entry (k, c) is the conjugate of the stored (c, k) for c < k
+        row_k = [row.pop(k - r).conjugate() for r, row in enumerate(m[:k])] + upper[1:]
         p_inv = None  # inverted only if a remaining row needs it
         for r, row in enumerate(m):
-            x = row.pop(k)
+            x = row_k[r]
             if x.is_zero():
                 continue
             if p_inv is None:
                 p_inv = p.inverse()
-            f = x * p_inv
-            m[r] = [y - f * z for y, z in zip(row, row_k)]
+            f = x.conjugate() * p_inv  # the entry (r, k) over p
+            m[r] = [y if z.is_zero() else y.sub_mul(f, z) for y, z in zip(row, row_k[r:])]
     return pivots
 
 

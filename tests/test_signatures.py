@@ -8,6 +8,7 @@ from knotconc.seifert import SeifertMatrix, UNKNOT_MATRIX, two_strand_torus_matr
 from knotconc.signatures import (
     SingularFormError,
     _congruence_pivots,
+    _hermitian_form,
     lt_signature,
     lt_signatures,
     sigma_q,
@@ -66,7 +67,84 @@ def test_bad_arguments():
 def test_singular_form_reported():
     zero = Cyclotomic.zero(3)
     with pytest.raises(SingularFormError):
-        _congruence_pivots([[zero, zero], [zero, zero]])
+        _congruence_pivots([[zero, zero], [zero]])  # the upper triangle
+
+
+def reference_form(V, q):
+    """The full matrix H(zeta), every entry built from V."""
+    one, zeta = Cyclotomic.one(q), Cyclotomic.zeta_power(q, 1)
+    u, w = (one - zeta).num, (one - zeta.conjugate()).num
+    return [[Cyclotomic(q, [a * x + b * y for x, y in zip(u, w)])
+             for a, b in zip(row, column)]
+            for row, column in zip(V.rows, zip(*V.rows))]
+
+
+def reference_pivots(m):
+    """Congruence pivots computed on the full matrix: every entry of every
+    Schur complement, with the same pivot rules as the library."""
+    pivots = []
+    while m:
+        k = next((i for i, row in enumerate(m) if not row[i].is_zero()), None)
+        if k is None:
+            off = next(((i, j) for i, row in enumerate(m)
+                        for j in range(i + 1, len(m)) if not row[j].is_zero()), None)
+            if off is None:
+                raise SingularFormError("degenerate")
+            i, j = off
+            a = m[i][j]
+            abar = a.conjugate()
+            m[i] = [x + a * y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = row[i] + abar * row[j]
+            k = i
+        row_k = m.pop(k)
+        p = row_k.pop(k)
+        pivots.append(p)
+        p_inv = None
+        for r, row in enumerate(m):
+            x = row.pop(k)
+            if x.is_zero():
+                continue
+            if p_inv is None:
+                p_inv = p.inverse()
+            f = x * p_inv
+            m[r] = [y - f * z for y, z in zip(row, row_k)]
+    return pivots
+
+
+def exact(elements):
+    return [(x.num, x.den) for x in elements]
+
+
+def test_upper_triangle_pivots_match_full_elimination():
+    # zero diagonals take the off-diagonal pivot; entries up to 9 bring
+    # coefficient growth
+    rng = random.Random(37)
+    for i in range(40):
+        V = random_seifert(rng, 1 + i % 6, span=(3, 9)[i % 2],
+                           zero_diagonal=i % 5 == 0)
+        q = (2, 3, 5, 7, 11, 13)[(i + i // 6) % 6]
+        assert exact(_congruence_pivots(_hermitian_form(V, q))) \
+            == exact(reference_pivots(reference_form(V, q))), (V.rows, q)
+    for k in (3, 7, 13):
+        V = two_strand_torus_matrix(k)
+        assert exact(_congruence_pivots(_hermitian_form(V, 97))) \
+            == exact(reference_pivots(reference_form(V, 97))), k
+
+
+def test_schur_updates_stay_in_the_upper_triangle(monkeypatch):
+    calls = []
+    sub_mul = Cyclotomic.sub_mul
+
+    def counted(self, f, w):
+        calls.append(1)
+        return sub_mul(self, f, w)
+
+    monkeypatch.setattr(Cyclotomic, "sub_mul", counted)
+    V = random_seifert(random.Random(38), 6, span=9)
+    _congruence_pivots(_hermitian_form(V, 7))
+    # a full-matrix update would take sum(n * n) = 506
+    assert 0 < len(calls) <= sum(n * (n + 1) // 2 for n in range(1, 12))
 
 
 def test_conjugation_symmetry_random():
