@@ -2,12 +2,11 @@
 
 Elements are stored in the power basis 1, zeta, ..., zeta^(q-2) of a fixed
 primitive q-th root of unity zeta, as an integer coefficient vector over a
-single positive common denominator (cheaper than per-coefficient rationals
-in the congruence-elimination hot path).  They are built the same way, from
-q - 1 integer numerators over one integer denominator, and every element,
-built or computed, is stored normalized: the denominator positive and
-coprime to the numerators.  Reduction uses the minimal
-polynomial
+single positive common denominator (cheaper than per-coefficient
+rationals).  They are built the same way, from q - 1 integer numerators
+over one integer denominator, and every element, built or computed, is
+stored normalized: the denominator positive and coprime to the
+numerators.  Reduction uses the minimal polynomial
 
     Phi_q(x) = 1 + x + ... + x^(q-1),
 
@@ -194,19 +193,6 @@ class Cyclotomic:
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
         return _folded(self.q, _convolved(self.q, self.num, other.num), self.den * other.den)
-
-    def sub_mul(self, f: "Cyclotomic", w: "Cyclotomic") -> "Cyclotomic":
-        """self - f * w from one convolution, one fold and one
-        normalization: the Schur-complement update of the congruence
-        elimination."""
-        self._check(f)
-        self._check(w)
-        q = self.q
-        acc = _convolved(q, f.num, w.num)
-        top = acc[-1]
-        d, e = self.den, f.den * w.den
-        # self - f*w = (num * e - (acc - top) * d) / (d * e), acc folded
-        return _normalized(q, [a * e - (c - top) * d for a, c in zip(self.num, acc)], d * e)
 
     def galois(self, j: int) -> "Cyclotomic":
         """The automorphism sigma_j: zeta -> zeta^j, for j prime to q."""

@@ -6,36 +6,66 @@ form
 
     H(omega) = (1 - omega) V + (1 - conj(omega)) V^T.
 
-We evaluate it exactly.  The form H(zeta) at the generator zeta of the
-cyclotomic field Q(zeta_q) is diagonalized by congruence over that field,
-one Schur complement per pivot (with the usual off-diagonal pivot trick
-when every remaining diagonal entry vanishes).  Each pivot is a nonzero real
-element of the field whose sign is certified by integer fixed-point
-enclosures.  No floating point number ever decides a signature.
+We evaluate it exactly, from the nested principal minors of H(zeta) at the
+generator zeta of Q(zeta_q), computed modulo primes and lifted to Z[zeta].
+No floating point number is used anywhere.
 
-Only the upper triangle is stored and updated.  A Schur complement of a
-Hermitian matrix is Hermitian: below the diagonal, m_cr - m_ck p^(-1) m_kr
-is the conjugate of m_rc - m_rk p^(-1) m_kc, because the pivot p is real
-and conj(m_ck) = m_kc.  The field is commutative and every element is
-stored normalized, so that conjugate is the very (numerators, denominator)
-pair a full update would compute, and reading an entry below the diagonal
-as the conjugate of the one above loses nothing.  Each update
-m_rc - f m_kc is one fused multiply-subtract (``Cyclotomic.sub_mul``).
+Minors and signatures.  Take the indices in the order of a pivot plan, a
+sequence of 1x1 pivots and 2x2 blocks, and let D_k be the k-th leading
+principal minor of H(zeta) in that order (D_0 = 1).  Each D_k is an
+element of Z[zeta], and it is real, since H(zeta) is Hermitian.  V is
+rational, so the minors of H(zeta^j) are the Galois conjugates
+sigma_j(D_k), whose signs ``Cyclotomic.sign(j)`` certifies.  The plan makes
+every D_k nonzero except, possibly, the inner minor D_(k+1) of a 2x2 block
+(k+1, k+2), and a nonzero element of the field is nonzero in every
+embedding.  So the Sylvester-Jacobi rule gives
 
-One elimination serves every root.  V is rational, so H(zeta^j) is the
-Galois conjugate sigma_j(H(zeta)) entry by entry, where sigma_j: zeta ->
-zeta^j.  Every choice the elimination makes is a zero test, and sigma_j
-preserves zero tests, so whatever the pivot order, the same steps
-diagonalize H(zeta^j) with the pivots sigma_j(p).  The sign of sigma_j(p)
-is the sign of p under the embedding zeta -> exp(2*pi*i*j/q)
-(``Cyclotomic.sign(j)``), and sigma_K(omega^j) is the sum of those signs.
-A pivot p is real, so sigma_(q-j)(p) = conj(sigma_j(p)) = sigma_j(p) and
-the roots j and q-j have the same signature: only j <= q/2 are signed.
+    sigma_K(omega^j) = sum over k = 1..n of s(D_(k-1)) s(D_k),
 
-At omega of prime order the form is nonsingular (roots of unity of prime
-power order are never roots of an Alexander polynomial normalized with
-p(1) = 1); degeneracy is still checked and reported as an error rather
-than a value.
+with s the sign of sigma_j(.), and s(0) = 0.  An inner minor that is
+exactly 0 adds 0 to this sum, which is Frobenius' rule: the block's Schur
+complement is [[0, b], [conj(b), d]] with b != 0, whose determinant
+-|b|^2 is negative, so the block has one positive and one negative
+eigenvalue.  H(zeta^(q-j)) is the transpose of H(zeta^j) and has the same
+minors, so the roots j and q - j have the same signature: only j <= q/2
+are signed.
+
+Residues.  Each prime p = 1 (mod 2q) splits completely in Z[zeta]: with r
+of order q modulo p, reducing modulo the prime above p where zeta = r^e
+maps D_k to the minor of the integer matrix H(r^e) mod p.  The elimination
+runs modulo p at e = 1..q//2 in lockstep; H(r^(-e)) = H(r^e)^T has the same
+principal minors, so these roots cover all q - 1 of them.  The primes are
+found lazily below 2^62 and cached per q; Miller-Rabin with the first
+twelve primes as bases decides primality below 3.18e23, far above them.
+
+The plan.  At the first prime the plan takes, at each step, the first
+diagonal entry of the Schur complement that is nonzero at every root, or
+failing that the first 2x2 principal block whose determinant is.  A
+nonzero residue proves a nonzero minor, so every pivot of the plan is
+exactly nonzero.  Later primes follow the same plan; a prime at which one
+of its pivots vanishes (an unlucky prime, which divides the norm of that
+pivot) is skipped.  If no plan can be made at a prime, the determinant of
+H(r^e) is read from that prime instead; a form whose lifted determinant is
+exactly 0 is degenerate and raises SingularFormError.  At omega of prime
+order a Seifert form is never degenerate (roots of unity of prime power
+order are never roots of an Alexander polynomial normalized with p(1) = 1),
+so for those an unlucky prime only costs its time.
+
+Read-back.  With D = sum c_i zeta^i over i = 0..q-2, Tr(zeta^m) is q - 1
+when q divides m and -1 otherwise, so
+
+    c_i = (Tr(D zeta^(-i)) - Tr(D zeta)) / q,
+
+and modulo p each trace is the sum over e = 1..q-1 of D(r^e) r^(-ei), with
+D(r^(q-e)) = D(r^e).
+
+CRT size.  |H_rc(omega)| <= 2(|V_rc| + |V_cr|) at every root of unity, so
+by Hadamard's inequality every principal minor, in every embedding, is at
+most B = prod over rows r of max(1, ||row_r||) in modulus, where row_r is
+the vector of those entry bounds.  A trace is a sum of q - 1 embeddings, so
+|c_i| <= 2 (q - 1) B / q < 2B.  The residues are combined by the Chinese
+remainder theorem until the modulus M exceeds 4B, and each c_i is the
+representative of its class in (-M/2, M/2).
 
 The total over all nontrivial q-th roots,
 
@@ -48,92 +78,241 @@ symmetry sigma_K(omega) = sigma_K(conj(omega)).
 
 from __future__ import annotations
 
+from operator import mul
+
 from .cyclotomic import Cyclotomic, is_prime
 from .seifert import SeifertMatrix
+
+# the primes used lie just below 2^_PRIME_BITS
+_PRIME_BITS = 62
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# q -> the primes p = 1 (mod 2q) found so far, largest first, each with a
+# root of order q mod p.  Extended on demand and replaced whole, so a
+# concurrent reader sees a prefix of the same sequence.
+_primes: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
 class SingularFormError(ArithmeticError):
     """The Hermitian form is degenerate at the requested root of unity."""
 
 
-def _hermitian_form(V: SeifertMatrix, q: int) -> list[list[Cyclotomic]]:
-    """The upper triangle of H(zeta) for the generator zeta of Q(zeta_q):
-    row r lists the entries (r, c) for c = r..n-1.  Entry (r, c) is
-    V[r][c] (1 - zeta) + V[c][r] (1 - conj(zeta)), built straight from the
-    integer numerators u of 1 - zeta and w of 1 - conj(zeta)."""
-    one, zeta = Cyclotomic.one(q), Cyclotomic.zeta_power(q, 1)
-    u, w = (one - zeta).num, (one - zeta.conjugate()).num  # both over 1
-    rows = V.rows
-    return [[Cyclotomic(q, [a * x + b * y for x, y in zip(u, w)])
-             for a, b in zip(row[r:], column[r:])]
-            for r, (row, column) in enumerate(zip(rows, zip(*rows)))]
+def _is_prime_mr(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, for odd n > 37:
+    exact below 3.18e23."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _congruence_pivots(m: list[list[Cyclotomic]]) -> list[Cyclotomic]:
-    """The diagonal of a congruence diagonalization of a Hermitian matrix
-    over Q(zeta_q), one Schur complement at a time.  ``m`` is the upper
-    triangle, row r holding the entries (r, c) for c >= r in the current
-    order, and is consumed.  Raises SingularFormError on a degenerate
-    form."""
-    pivots = []
+def _prime(q: int, i: int) -> tuple[int, int]:
+    """The i-th largest prime p = 1 (mod 2q) below 2^_PRIME_BITS, with an r
+    of order q modulo p."""
+    found = _primes.get(q, ())
+    if len(found) <= i:
+        more = list(found)
+        t = (more[-1][0] - 1) // (2 * q) - 1 if more else ((1 << _PRIME_BITS) - 1) // (2 * q)
+        while len(more) <= i:
+            p = 2 * q * t + 1
+            t -= 1
+            if _is_prime_mr(p):
+                g = 2
+                while pow(g, (p - 1) // q, p) == 1:
+                    g += 1
+                more.append((p, pow(g, (p - 1) // q, p)))
+        found = _primes[q] = tuple(more)
+    return found[i]
+
+
+def _hadamard_square(rows) -> int:
+    """B^2, where B = prod over rows r of max(1, ||row_r||) and row_r holds
+    the bounds 2(|V_rc| + |V_cr|) of |H_rc| at every root of unity: every
+    principal minor of H, in every embedding, is at most B in modulus."""
+    out = 1
+    for row, column in zip(rows, zip(*rows)):
+        out *= max(1, sum(4 * (abs(a) + abs(b)) ** 2 for a, b in zip(row, column)))
+    return out
+
+
+def _forms_mod(rows, q: int, p: int, r: int) -> list[list[list[int]]]:
+    """The integer matrices H(r^e) mod p, e = 1..q//2."""
+    out = []
+    for e in range(1, q // 2 + 1):
+        x = pow(r, e, p)
+        a, b = 1 - x, 1 - pow(x, -1, p)
+        out.append([[(v * a + w * b) % p for v, w in zip(row, column)]
+                    for row, column in zip(rows, zip(*rows))])
+    return out
+
+
+def _plan_step(forms: list[list[list[int]]], p: int) -> tuple[int, ...] | None:
+    """The first diagonal position of the Schur complement that is nonzero
+    at every root, else the first 2x2 principal block whose determinant
+    is, else None."""
+    n = len(forms[0])
+    for i in range(n):
+        if all(m[i][i] for m in forms):
+            return (i,)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if all((m[i][i] * m[j][j] - m[i][j] * m[j][i]) % p for m in forms):
+                return (i, j)
+    return None
+
+
+def _eliminate(forms: list[list[list[int]]], p: int, plan: list | None):
+    """(plan, minors): the residues mod p of the nested principal minors
+    D_1..D_n at each root, one list over the roots per minor, along a
+    pivot plan of Schur-complement positions, (i,) for a 1x1 pivot and
+    (i, j) with i < j for a 2x2 block.  The plan is made here when
+    ``plan`` is None and followed otherwise.  ``forms`` is consumed.
+    None when no plan can be made, or a planned pivot vanishes mod p."""
+    making = plan is None
+    if making:
+        plan = []
+    steps = iter(plan)
+    dk = [1] * len(forms)  # the last minor at each root
+    minors = []
+    while forms[0]:
+        pivot = _plan_step(forms, p) if making else next(steps)
+        if pivot is None:
+            return None
+        if making:
+            plan.append(pivot)
+        if len(pivot) == 1:
+            (i,) = pivot
+            for e, m in enumerate(forms):
+                row = m.pop(i)
+                a = row.pop(i)
+                if not a:
+                    return None
+                inv = pow(a, -1, p)
+                for k, s in enumerate(m):
+                    f = s.pop(i) * inv % p
+                    if f:
+                        m[k] = [(y - f * z) % p for y, z in zip(s, row)]
+                dk[e] = dk[e] * a % p
+            minors.append(list(dk))
+        else:
+            i, j = pivot
+            inner = []
+            for e, m in enumerate(forms):
+                rj, ri = m.pop(j), m.pop(i)
+                b, a = ri.pop(j), ri.pop(i)
+                d, c = rj.pop(j), rj.pop(i)
+                det = (a * d - b * c) % p
+                if not det:
+                    return None
+                inv = pow(det, -1, p)
+                # row s minus (s_i, s_j) S^(-1) (row i; row j), S = [[a, b], [c, d]]
+                for k, s in enumerate(m):
+                    y, x = s.pop(j), s.pop(i)
+                    u, v = (x * d - y * c) * inv % p, (y * a - x * b) * inv % p
+                    if u or v:
+                        m[k] = [(t - u * g - v * w) % p for t, g, w in zip(s, ri, rj)]
+                inner.append(dk[e] * a % p)
+                dk[e] = dk[e] * det % p
+            minors += [inner, list(dk)]
+    return plan, minors
+
+
+def _det_mod(m: list[list[int]], p: int) -> int:
+    """The determinant mod p of a square matrix over F_p; ``m`` is
+    consumed."""
+    det = 1
     while m:
-        k = next((i for i, row in enumerate(m) if not row[0].is_zero()), None)
+        k = next((k for k, row in enumerate(m) if row[0]), None)
         if k is None:
-            off = next(((i, i + d) for i, row in enumerate(m)
-                        for d in range(1, len(row)) if not row[d].is_zero()), None)
-            if off is None:
-                raise SingularFormError(
-                    "Hermitian form is degenerate (omega is a root of the "
-                    "Alexander polynomial)"
-                )
-            # Every diagonal entry is zero: adding a times row j to row i
-            # (and conj(a) times column j to column i) puts 2*a*conj(a) > 0
-            # at position (i, i) when a = m[i][j] is nonzero.  Rare, so it
-            # is done on the full matrix, rebuilt from the upper triangle.
-            i, j = off
-            n = len(m)
-            full = [[m[r][c - r] if c >= r else m[c][r - c].conjugate() for c in range(n)]
-                    for r in range(n)]
-            a = full[i][j]
-            abar = a.conjugate()
-            full[i] = [x + a * y for x, y in zip(full[i], full[j])]
-            for row in full:
-                row[i] = row[i] + abar * row[j]
-            m = [row[r:] for r, row in enumerate(full)]
-            k = i
-            assert not m[k][0].is_zero()
-        upper = m.pop(k)
-        p = upper[0]
-        assert p.is_real()
-        pivots.append(p)
-        # row k of the full matrix without column k, in the order left:
-        # entry (k, c) is the conjugate of the stored (c, k) for c < k
-        row_k = [row.pop(k - r).conjugate() for r, row in enumerate(m[:k])] + upper[1:]
-        p_inv = None  # inverted only if a remaining row needs it
-        for r, row in enumerate(m):
-            x = row_k[r]
-            if x.is_zero():
-                continue
-            if p_inv is None:
-                p_inv = p.inverse()
-            f = x.conjugate() * p_inv  # the entry (r, k) over p
-            m[r] = [y if z.is_zero() else y.sub_mul(f, z) for y, z in zip(row, row_k[r:])]
-    return pivots
+            return 0
+        row = m.pop(k)
+        det = det * (-row[0] if k % 2 else row[0]) % p
+        inv = pow(row[0], -1, p)
+        m = [[(y - s[0] * inv * z) % p for y, z in zip(s[1:], row[1:])] for s in m]
+    return det
+
+
+def _read_back(values: list[list[int]], q: int, p: int, r: int) -> list[list[int]]:
+    """The power-basis coefficients mod p of real elements D of Z[zeta]
+    from their values mod p at zeta = r^e, e = 1..q//2:
+    c_i = (T_i - T_(q-1)) / q, where T_i = Tr(D zeta^(-i)) is the sum over
+    e = 1..q-1 of D(r^e) r^(-ei), and D(r^(q-e)) = D(r^e)."""
+    power = [pow(r, k, p) for k in range(q)]
+    # the weight of D(r^e) in T_i; e = q - e only for the root -1 at q = 2
+    weights = [[power[-e * i % q] + (power[e * i % q] if 2 * e != q else 0)
+                for e in range(1, q // 2 + 1)] for i in range(q)]
+    inv_q = pow(q, -1, p)
+    out = []
+    for vals in values:
+        t = [sum(map(mul, vals, row)) for row in weights]
+        out.append([(x - t[-1]) * inv_q % p for x in t[:-1]])
+    return out
+
+
+def _crt(xs: list[int], m: int, cs: list[int], p: int) -> list[int]:
+    """The residues mod m*p that are xs mod m and cs mod p."""
+    inv = pow(m, -1, p)
+    return [x + m * ((c - x) * inv % p) for x, c in zip(xs, cs)]
+
+
+def _symmetric(xs: list[int], m: int) -> list[int]:
+    """The representatives in (-m/2, m/2) of residues mod an odd m."""
+    return [x - m if 2 * x > m else x for x in xs]
+
+
+def _principal_minors(rows, q: int) -> list[Cyclotomic]:
+    """The nested principal minors D_1..D_n of H(zeta) for the integer
+    matrix ``rows`` and prime q, in the order of one pivot plan, exact in
+    Z[zeta].  Raises SingularFormError on a degenerate form."""
+    bound = 16 * _hadamard_square(rows)  # the modulus M must exceed 4B
+    plan, lifted, modulus = None, [[0] * (q - 1) for _ in rows], 1
+    det, det_modulus = [0] * (q - 1), 1
+    i = 0
+    while modulus * modulus <= bound:
+        p, r = _prime(q, i)
+        i += 1
+        out = _eliminate(_forms_mod(rows, q, p, r), p, plan)
+        if out is None:
+            if plan is None:
+                # no plan at p: the lifted determinant decides degeneracy
+                value = [_det_mod(m, p) for m in _forms_mod(rows, q, p, r)]
+                det = _crt(det, det_modulus, _read_back([value], q, p, r)[0], p)
+                det_modulus *= p
+                if det_modulus * det_modulus > bound and not any(det):
+                    raise SingularFormError(
+                        "Hermitian form is degenerate (omega is a root of the "
+                        "Alexander polynomial)"
+                    )
+            continue
+        plan, minors = out
+        lifted = [_crt(x, modulus, c, p) for x, c in zip(lifted, _read_back(minors, q, p, r))]
+        modulus *= p
+    return [Cyclotomic(q, _symmetric(c, modulus)) for c in lifted]
 
 
 def lt_signatures(V: SeifertMatrix, q: int) -> tuple[int, ...]:
     """(sigma_K(omega^1), ..., sigma_K(omega^(q-1))) for omega =
-    exp(2*pi*i/q), from one congruence diagonalization.
+    exp(2*pi*i/q), from the signs of one chain of nested principal minors.
 
     q must be prime.  Every entry is exact and even.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    pivots = _congruence_pivots(_hermitian_form(V, q))
+    minors = _principal_minors(V.rows, q)
     half = []
     for j in range(1, q // 2 + 1):
-        sig = sum(p.sign(j) for p in pivots)
-        assert sig % 2 == 0 and abs(sig) <= len(pivots)
+        signs = [1] + [d.sign(j) for d in minors]
+        sig = sum(a * b for a, b in zip(signs, signs[1:]))
+        assert sig % 2 == 0 and abs(sig) <= len(minors)
         half.append(sig)
     return tuple(half[min(j, q - j) - 1] for j in range(1, q))
 
@@ -157,9 +336,9 @@ def signature(V: SeifertMatrix) -> int:
 def sigma_q(V: SeifertMatrix, q: int) -> int:
     """sigma^(q)(K): the sum of sigma_K over all nontrivial q-th roots.
 
-    The terms come from one diagonalization (see ``lt_signatures``); each
-    is a sum of certified pivot signs.  For odd q they pair up as j and q-j,
-    so the total is divisible by 4, which is asserted.
+    The terms come from one chain of minors (see ``lt_signatures``); each
+    is a sum of products of certified signs.  For odd q they pair up as j
+    and q-j, so the total is divisible by 4, which is asserted.
     """
     total = sum(lt_signatures(V, q))
     if q % 2 == 1:

@@ -13,8 +13,8 @@ def random_seifert(rng: random.Random, genus: int, span: int = 3,
 
     V - V^T is pinned to the standard symplectic form, so det(V - V^T) = 1
     by construction and every draw is valid.  With ``zero_diagonal`` every
-    diagonal entry of the Hermitian form vanishes, so congruence
-    diagonalization must take its off-diagonal pivot branch.
+    diagonal entry of the Hermitian form vanishes, so the pivot plan of
+    ``signatures`` must open with a 2x2 block.
     """
     n = 2 * genus
     rows = [[0] * n for _ in range(n)]

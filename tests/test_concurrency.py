@@ -6,7 +6,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from knotconc import cyclotomic
+from knotconc import cyclotomic, signatures
 from knotconc.cyclotomic import Cyclotomic
 from knotconc.infer import infer_theta
 from knotconc.knots import parse_expression
@@ -67,3 +67,23 @@ def test_concurrent_sigma_q_over_shared_cosine_cache():
     n = len(jobs)
     assert parallel[:n] == parallel[n:2 * n] == serial[:n]
     assert parallel[2 * n:] == serial[n:] * 2
+
+
+def test_concurrent_prime_search_matches_serial():
+    # the lazy prime cache is extended by whichever thread first needs a
+    # prime; every thread must still read one sequence of distinct primes
+    jobs = [(q, i) for q in (3, 5, 7) for i in range(6)] * 3
+    serial = [signatures._prime(q, i) for q, i in jobs]
+    signatures._primes.clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(signatures._prime, q, i) for q, i in reversed(jobs)]
+            parallel = [f.result(timeout=60) for f in futures][::-1]
+    finally:
+        sys.setswitchinterval(old)
+    assert parallel == serial
+    for q in (3, 5, 7):
+        primes = [p for p, r in signatures._primes[q]]
+        assert primes == sorted(set(primes), reverse=True)

@@ -206,23 +206,6 @@ def test_mixed_fields_rejected():
         Cyclotomic.one(3) * Cyclotomic.one(5)
 
 
-def test_sub_mul_is_self_minus_product():
-    rng = random.Random(17)
-    for q in (2, 3, 5, 7, 11):
-        zero = Cyclotomic.zero(q)
-        for i in range(40):
-            y, f, w = (random_element(rng, q) for _ in range(3))
-            if i % 5 == 0:
-                f = zero
-            elif i % 5 == 1:
-                y = zero
-            assert y.sub_mul(f, w) == y - f * w
-    three, five = Cyclotomic.one(3), Cyclotomic.one(5)
-    for y, f, w in ((three, five, five), (five, three, five), (five, five, three)):
-        with pytest.raises(CyclotomicError):
-            y.sub_mul(f, w)
-
-
 @pytest.mark.parametrize("q", [1, 4, 9])
 def test_named_constructors_refuse_non_prime_q(q):
     for build in (Cyclotomic.zero, Cyclotomic.one,

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,8 +9,11 @@ from knotconc.cyclotomic import Cyclotomic
 from knotconc.seifert import SeifertMatrix, UNKNOT_MATRIX, two_strand_torus_matrix
 from knotconc.signatures import (
     SingularFormError,
-    _congruence_pivots,
-    _hermitian_form,
+    _det_mod,
+    _eliminate,
+    _hadamard_square,
+    _prime,
+    _principal_minors,
     lt_signature,
     lt_signatures,
     sigma_q,
@@ -17,6 +22,11 @@ from knotconc.signatures import (
 from conftest import float_lt_signature, random_seifert
 
 TREFOIL = SeifertMatrix.from_rows([[-1, 1], [0, -1]])
+
+
+def transpose(V):
+    """V^T, a Seifert matrix of the knot with reversed orientation."""
+    return SeifertMatrix(tuple(zip(*V.rows)))
 
 
 def mirror(V):
@@ -65,9 +75,8 @@ def test_bad_arguments():
 
 
 def test_singular_form_reported():
-    zero = Cyclotomic.zero(3)
     with pytest.raises(SingularFormError):
-        _congruence_pivots([[zero, zero], [zero]])  # the upper triangle
+        _principal_minors(((0, 0), (0, 0)), 3)
 
 
 def reference_form(V, q):
@@ -112,64 +121,166 @@ def reference_pivots(m):
     return pivots
 
 
-def exact(elements):
-    return [(x.num, x.den) for x in elements]
+def reference_signatures(V, q):
+    """(sigma_K(omega^j) for j = 1..q-1) from the signs of the reference
+    pivots."""
+    pivots = reference_pivots(reference_form(V, q))
+    return tuple(sum(p.sign(j) for p in pivots) for j in range(1, q))
 
 
-def test_upper_triangle_pivots_match_full_elimination():
-    # zero diagonals take the off-diagonal pivot; entries up to 9 bring
-    # coefficient growth
+def test_lt_signatures_match_reference_elimination():
+    # zero diagonals take 2x2 blocks; entries up to 9 bring coefficient
+    # growth
     rng = random.Random(37)
     for i in range(40):
         V = random_seifert(rng, 1 + i % 6, span=(3, 9)[i % 2],
                            zero_diagonal=i % 5 == 0)
         q = (2, 3, 5, 7, 11, 13)[(i + i // 6) % 6]
-        assert exact(_congruence_pivots(_hermitian_form(V, q))) \
-            == exact(reference_pivots(reference_form(V, q))), (V.rows, q)
+        assert lt_signatures(V, q) == reference_signatures(V, q), (V.rows, q)
     for k in (3, 7, 13):
         V = two_strand_torus_matrix(k)
-        assert exact(_congruence_pivots(_hermitian_form(V, 97))) \
-            == exact(reference_pivots(reference_form(V, 97))), k
+        assert lt_signatures(V, 97) == reference_signatures(V, 97), k
+    V = random_seifert(random.Random(38), 10, span=9)
+    assert lt_signatures(V, 31) == reference_signatures(V, 31)
 
 
-def test_schur_updates_stay_in_the_upper_triangle(monkeypatch):
+def test_pivot_vanishing_mod_a_prime_in_use(monkeypatch):
+    # an entry divisible by the first prime keeps that pivot out of the
+    # plan; one divisible by the second prime makes that prime skipped
     calls = []
-    sub_mul = Cyclotomic.sub_mul
 
-    def counted(self, f, w):
-        calls.append(1)
-        return sub_mul(self, f, w)
+    def spied(forms, p, plan):
+        out = _eliminate(forms, p, plan)
+        calls.append((p, out))
+        return out
 
-    monkeypatch.setattr(Cyclotomic, "sub_mul", counted)
-    V = random_seifert(random.Random(38), 6, span=9)
-    _congruence_pivots(_hermitian_form(V, 7))
-    # a full-matrix update would take sum(n * n) = 506
-    assert 0 < len(calls) <= sum(n * (n + 1) // 2 for n in range(1, 12))
+    monkeypatch.setattr("knotconc.signatures._eliminate", spied)
+    base = random_seifert(random.Random(39), 2)
+    for q in (2, 3, 7):
+        first, second = _prime(q, 0)[0], _prime(q, 1)[0]
+        for entry in (first, -second):
+            rows = [list(row) for row in base.rows]
+            rows[0][0] = entry
+            V = SeifertMatrix.from_rows(rows)
+            calls.clear()
+            assert lt_signatures(V, q) == reference_signatures(V, q), (q, entry)
+            plans = [out[0] for p, out in calls if out is not None]
+            if entry == first:
+                assert calls[0][0] == first and plans[0][0] != (0,)
+            else:
+                assert plans[0][0] == (0,)
+                assert [p for p, out in calls if out is None] == [second]
+            assert len(plans) >= 2  # a lift over more than one prime
+
+
+def test_no_plan_at_a_prime_reads_the_determinant(monkeypatch):
+    # V_ji = V_ij / r (mod p) makes H_ji(r) vanish mod p: the circulant
+    # below has every 2x2 principal determinant 0 mod the first prime but
+    # det H = H_01 H_12 H_20 != 0, so that prime makes no plan, and its
+    # determinant residues (with row swaps) prove the form nonsingular
+    dets = []
+
+    def spied(m, p):
+        dets.append(_det_mod(m, p))
+        return dets[-1]
+
+    monkeypatch.setattr("knotconc.signatures._det_mod", spied)
+    q = 3
+    p, r = _prime(q, 0)
+    s = pow(r, -1, p)
+    V = SimpleNamespace(rows=((0, 1, s), (s, 0, 1), (1, s, 0)))
+    minors = _principal_minors(V.rows, q)
+    assert dets and all(dets)
+    signs = [1] + [d.sign(1) for d in minors]
+    assert sum(a * b for a, b in zip(signs, signs[1:])) == reference_signatures(V, q)[0]
+
+
+def test_zero_diagonal_reaches_frobenius_block():
+    # every diagonal entry of H is exactly 0, so the plan opens with a 2x2
+    # block whose inner minor D_1 is exactly 0: Frobenius' rule counts it 0
+    rng = random.Random(40)
+    for q in (2, 3, 5, 13):
+        V = random_seifert(rng, 3, zero_diagonal=True)
+        minors = _principal_minors(V.rows, q)
+        assert minors[0].is_zero() and not minors[1].is_zero()
+        assert lt_signatures(V, q) == reference_signatures(V, q), (V.rows, q)
+
+
+def test_hadamard_square_bounds_every_minor():
+    # |H_rc| <= 2(|V_rc| + |V_cr|): rows (4, 2) and (2, 4) give B^2 = 20 * 20
+    assert _hadamard_square(TREFOIL.rows) == 400
+    assert _hadamard_square(()) == 1
+    assert _hadamard_square(((0, 0), (0, 0))) == 1
+    assert _hadamard_square(((1, 0), (0, 0))) == 16
+    rng = random.Random(41)
+    for i in range(12):
+        V = random_seifert(rng, 1 + i % 4, span=9, zero_diagonal=i % 3 == 0)
+        bound = _hadamard_square(V.rows)
+        q = (3, 5, 7, 11)[i % 4]
+        for d in _principal_minors(V.rows, q):
+            assert d.den == 1 and all(c * c < 4 * bound for c in d.num)
+
+
+def test_lift_stops_at_the_first_modulus_past_4b(monkeypatch):
+    # the lift multiplies primes until M > 4B and no further; with B just
+    # under p1/2 (B^2 = 64 x^2 + 16 for x = p1 // 16) one prime is too few
+    used = []
+
+    def spied(forms, p, plan):
+        out = _eliminate(forms, p, plan)
+        if out is not None:
+            used.append(p)
+        return out
+
+    monkeypatch.setattr("knotconc.signatures._eliminate", spied)
+    rng = random.Random(42)
+    q = 3
+    x = _prime(q, 0)[0] // 16
+    cases = [SeifertMatrix.from_rows([[x, 1], [0, 0]])]
+    cases += [random_seifert(rng, g, span=9) for g in (2, 5, 8)]
+    counts = []
+    for V in cases:
+        used.clear()
+        _principal_minors(V.rows, q)
+        bound = 16 * _hadamard_square(V.rows)
+        modulus = math.prod(used)
+        assert modulus ** 2 > bound >= (modulus // used[-1]) ** 2, V.rows
+        counts.append(len(used))
+    assert counts[0] == 2
 
 
 def test_conjugation_symmetry_random():
+    # the form of V^T at omega is H(conj(omega)), so V^T's values are V's
+    # in reverse order, from another chain of minors
     rng = random.Random(31)
     for _ in range(25):
         V = random_seifert(rng, rng.randint(1, 3))
         for q in (3, 5):
             for j in range(1, (q - 1) // 2 + 1):
                 assert lt_signature(V, q, j) == lt_signature(V, q, q - j)
+            assert lt_signatures(transpose(V), q) == lt_signatures(V, q)[::-1]
+    for q in (31, 97):
+        for _ in range(3):
+            V = random_seifert(rng, rng.randint(1, 3))
+            values = lt_signatures(V, q)
+            assert values == values[::-1]
+            assert lt_signatures(transpose(V), q) == values[::-1], (V.rows, q)
 
 
 def test_mirror_antisymmetry_random():
     rng = random.Random(32)
-    for _ in range(20):
+    for i in range(26):
         V = random_seifert(rng, rng.randint(1, 3))
-        for q in (2, 3):
+        for q in (2, 3) if i < 20 else (31, 97):
             assert sigma_q(mirror(V), q) == -sigma_q(V, q)
 
 
 def test_block_sum_additivity_random():
     rng = random.Random(33)
-    for _ in range(15):
+    for i in range(19):
         a = random_seifert(rng, rng.randint(1, 2))
         b = random_seifert(rng, rng.randint(1, 2))
-        for q in (2, 3):
+        for q in (2, 3) if i < 15 else (31, 97):
             assert sigma_q(a.block_sum(b), q) == sigma_q(a, q) + sigma_q(b, q)
 
 
