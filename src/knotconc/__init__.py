@@ -7,3 +7,10 @@ engine, and genus lower bounds for surfaces in definite 4-manifolds.
 """
 
 __version__ = "0.1.0"
+
+
+class DataError(Exception):
+    """Mixin of the errors that bad data, not bad usage, raises: a ledger,
+    Seifert matrix, cover or genus-bound hypothesis that cannot hold, or a
+    query the inference engine refuses.  The command line reports each one
+    on a single line with exit code 2."""

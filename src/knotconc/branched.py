@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import DataError
 from .cyclotomic import is_prime
 
 
-class CoverDataError(ValueError):
+class CoverDataError(ValueError, DataError):
     pass
 
 

@@ -5,8 +5,15 @@ Exit codes: 0 success, 1 usage error, 2 ledger, hypothesis or
 inference-engine error, 3 reproduction failure.  Output is deterministic for fixed inputs; --json
 switches to a machine-readable report.  --q must be a prime <= MAX_Q.
 Expressions nest at most knots.MAX_NESTING deep (deeper is a usage error),
-and a query whose inference universe needs more than infer.MAX_NODES nodes
-is refused with exit 2 before any rule fires.
+and a query whose inference universe needs more than knots.MAX_NODES nodes
+is refused with exit 2 before any rule fires (the limit is kept in ``knots``
+so that ``--help`` does not load the engine; ``knotconc.infer.MAX_NODES``
+is the same object).
+
+Each command imports the layers it runs when it runs, so a short command
+does not pay for compiling and loading the engine, the genus bounds or the
+reproduction table.  Every error of bad data derives from
+``knotconc.DataError`` and exits 2, as an unreadable file does.
 """
 
 from __future__ import annotations
@@ -16,31 +23,17 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import reproduce as reproduce_mod
-from .branched import CoverDataError, CoverInput, cover_topology
+from . import DataError
 from .cyclotomic import MAX_Q, is_prime
-from .definite import (
-    HomologyClass,
-    HypothesisError,
-    compare_bounds,
-    genus_bound_odd_q,
-    genus_bound_q2,
-)
-from .infer import (
-    MAX_NODES,
-    BoundInterval,
-    EngineError,
-    LedgerInconsistentError,
-    infer_theta,
-    infer_theta_m,
-)
-from .knots import (MAX_NESTING, ExpressionError, Key, expr_to_string, mirror_atoms,
-                    parse_expression)
-from .ledger import Ledger, LedgerError, load_ledger, load_seed_ledger
-from .seifert import SeifertMatrix, SeifertMatrixError
-from .sequences import InconsistentDataError
-from .signatures import SingularFormError, lt_signatures
+from .knots import (MAX_NESTING, MAX_NODES, ExpressionError, Key, expr_to_string,
+                    mirror_atoms, parse_expression)
+
+if TYPE_CHECKING:
+    from .definite import HomologyClass
+    from .infer import BoundInterval
+    from .ledger import Ledger
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -74,6 +67,7 @@ def _interval_json(iv: BoundInterval) -> dict:
 
 
 def _load(args) -> Ledger:
+    from .ledger import load_ledger, load_seed_ledger
     if args.ledger is None:
         return load_seed_ledger()
     return load_ledger(args.ledger)
@@ -117,6 +111,8 @@ def _interval_lines(iv: BoundInterval, verbose: bool) -> list[str]:
 
 
 def _cmd_sig(args) -> int:
+    from .seifert import SeifertMatrix
+    from .signatures import lt_signatures
     q = _check_q(args.q)
     if (args.knot is None) == (args.matrix is None):
         raise _UsageError("give exactly one of --knot or --matrix")
@@ -128,6 +124,7 @@ def _cmd_sig(args) -> int:
             raise _UsageError(f"bad --matrix: {e}") from None
         label = "matrix"
     else:
+        from .ledger import LedgerError
         ledger = _load(args)
         atom = ledger.atoms.get(args.knot)
         if atom is None:
@@ -151,6 +148,7 @@ def _cmd_sig(args) -> int:
 
 
 def _cmd_branch_cover(args) -> int:
+    from .branched import CoverInput, cover_topology
     q = _check_q(args.q)
     inp = CoverInput(q=q, b2X=args.b2x, sigmaX=args.sigmax, genus=args.genus,
                      self_int=args.self_int, sigq_out=args.sigq_out,
@@ -178,6 +176,7 @@ def _parse_expr_arg(text: str):
 
 
 def _cmd_theta(args) -> int:
+    from .infer import infer_theta
     q = _check_q(args.q)
     ledger = _load(args)
     expr = _parse_expr_arg(args.expr)
@@ -192,6 +191,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_theta_m(args) -> int:
+    from .infer import infer_theta_m
     q = _check_q(args.q)
     if args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
@@ -208,6 +208,7 @@ def _cmd_theta_m(args) -> int:
 
 
 def _parse_class(text: str, rank: int) -> HomologyClass:
+    from .definite import HomologyClass
     try:
         coords = tuple(int(c) for c in text.split(","))
     except ValueError as e:
@@ -232,6 +233,7 @@ def _torus_n_from_expr(expr: Key, text: str) -> int:
 
 
 def _cmd_genus_bound(args) -> int:
+    from .definite import compare_bounds, genus_bound_odd_q, genus_bound_q2
     q = _check_q(args.q)
     ledger = _load(args)
     expr = _parse_expr_arg(args.expr)
@@ -274,6 +276,7 @@ def _cmd_genus_bound(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    from .infer import infer_theta
     q = _check_q(args.q)
     ledger = _load(args)
     expr = _parse_expr_arg(args.expr)
@@ -290,6 +293,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from . import reproduce as reproduce_mod
     if args.list:
         lines = []
         obj = []
@@ -420,9 +424,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (LedgerError, LedgerInconsistentError, HypothesisError,
-            InconsistentDataError, CoverDataError, SingularFormError,
-            SeifertMatrixError, EngineError, OSError) as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return DATA_ERROR
 

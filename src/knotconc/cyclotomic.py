@@ -90,6 +90,7 @@ def _normalized(q: int, num: list[int], den: int) -> "Cyclotomic":
     out.q = q
     out.num = tuple(num)
     out.den = den
+    out._real = None
     return out
 
 
@@ -118,9 +119,10 @@ class Cyclotomic:
 
     ``Cyclotomic(q, num, den)`` is the element
     sum(num[k] * zeta^k for k = 0..q-2) / den, from q - 1 integer numerators
-    over a nonzero integer denominator."""
+    over a nonzero integer denominator.  Elements are never mutated, so
+    ``is_real`` is decided once per element and kept."""
 
-    __slots__ = ("q", "num", "den")
+    __slots__ = ("q", "num", "den", "_real")
 
     def __new__(cls, q: int, num, den: int = 1) -> "Cyclotomic":
         _check_field(q)
@@ -238,7 +240,9 @@ class Cyclotomic:
         return not any(self.num)
 
     def is_real(self) -> bool:
-        return self.conjugate() == self
+        if self._real is None:
+            self._real = self.conjugate() == self
+        return self._real
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -282,7 +286,7 @@ class Cyclotomic:
         if not self.is_real():
             raise CyclotomicError("sign requested for a non-real element")
         slack = 2 * sum(map(abs, self.num[1:]))
-        at = [min(j * k % q, -j * k % q) for k in range(q - 1)]
+        at = _embedding_index(q, j % q)
         prec = _SIGN_START_PREC
         while prec <= _SIGN_MAX_PREC:
             cos = _cosines(q, prec)
@@ -294,6 +298,14 @@ class Cyclotomic:
             "could not certify the sign of a nonzero real element "
             f"up to precision {_SIGN_MAX_PREC} bits: {self!r}"
         )
+
+
+@lru_cache(maxsize=128)
+def _embedding_index(q: int, j: int) -> tuple[int, ...]:
+    """min(r, q - r) for r = j*k mod q, k = 0..q-2: the index into
+    ``_cosines`` of cos(2*pi*j*k/q).  ``lt_signatures`` asks for j <= q/2,
+    48 values at q = 97, so 128 entries keep them with those of smaller q."""
+    return tuple(min(j * k % q, -j * k % q) for k in range(q - 1))
 
 
 @lru_cache(maxsize=64)

@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import DataError
 from .cyclotomic import is_prime
 from .infer import BoundInterval, infer_theta_m
 from .knots import Key
 from .ledger import Ledger
 
 
-class HypothesisError(ValueError):
+class HypothesisError(ValueError, DataError):
     """The theorem hypotheses (divisibility, definiteness) are not met."""
 
 

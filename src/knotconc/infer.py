@@ -56,25 +56,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import DataError
 from .cyclotomic import is_prime
-from .knots import Key, expr_to_string, mirror_atoms
+from .knots import MAX_NODES, Key, expr_to_string, mirror_atoms
 from .ledger import Ledger
 from .ledger_bounds import LedgerBounds
 
-# Largest inference universe.  A reduced query whose signed atoms occur
-# c_1, ..., c_k times has prod(c_i + 1) - 1 non-empty sub-multisets, each a
-# node as is its mirror, so it needs at least 2 prod(c_i + 1) - 2 nodes;
-# larger queries are refused before any rule fires.
-MAX_NODES = 4000
 # The worklist may fire each rule instance this many times on average.
 _MAX_PASSES = 1000
 
 
-class LedgerInconsistentError(ValueError):
+class LedgerInconsistentError(ValueError, DataError):
     """Rules forced an empty interval; the ledger contradicts itself."""
 
 
-class EngineError(RuntimeError):
+class EngineError(RuntimeError, DataError):
     pass
 
 

@@ -98,6 +98,14 @@ def _tokenize(text: str) -> list[str]:
 # parser recurses once per level, so deeper input is refused, not crashed on.
 MAX_NESTING = 100
 
+# Largest inference universe of ``infer``, kept here beside MAX_NESTING so
+# the command line states both limits without loading the engine.  A reduced
+# query whose signed atoms occur c_1, ..., c_k times has prod(c_i + 1) - 1
+# non-empty sub-multisets, each a node as is its mirror, so it needs at
+# least 2 prod(c_i + 1) - 2 nodes; larger queries are refused before any
+# rule fires.
+MAX_NODES = 4000
+
 
 def parse_expression(text: str) -> Key:
     """Parse the expression grammar into its key; raises ExpressionError on

@@ -47,10 +47,10 @@ from .cyclotomic import MAX_Q, is_prime
 from .knots import ExpressionError, Key, expr_to_string, parse_expression
 from .seifert import SeifertMatrix
 from .sequences import DeltaSequence, SequenceError
-from . import signatures
+from . import DataError, signatures
 
 
-class LedgerError(ValueError):
+class LedgerError(ValueError, DataError):
     pass
 
 

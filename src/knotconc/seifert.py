@@ -11,13 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import DataError
+
 
 # Largest size of a Seifert matrix (genus 15, that of T(2,31)); exact
 # signature work grows quickly with it, so it is checked before any entry.
 MAX_SEIFERT_SIZE = 30
 
 
-class SeifertMatrixError(ValueError):
+class SeifertMatrixError(ValueError, DataError):
     pass
 
 

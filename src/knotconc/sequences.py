@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import DataError
 from .cyclotomic import is_prime
 
 
@@ -39,7 +40,7 @@ class SequenceError(ValueError):
     pass
 
 
-class InconsistentDataError(ValueError):
+class InconsistentDataError(ValueError, DataError):
     """Ledger data that cannot belong to any knot (parity, threshold, ...)."""
 
 

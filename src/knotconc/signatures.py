@@ -80,6 +80,7 @@ from __future__ import annotations
 
 from operator import mul
 
+from . import DataError
 from .cyclotomic import Cyclotomic, is_prime
 from .seifert import SeifertMatrix
 
@@ -92,7 +93,7 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _primes: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
-class SingularFormError(ArithmeticError):
+class SingularFormError(ArithmeticError, DataError):
     """The Hermitian form is degenerate at the requested root of unity."""
 
 

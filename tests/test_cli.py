@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -304,17 +306,111 @@ def test_python_m_entry_point():
 
 
 def test_cli_imports_only_the_standard_library():
-    # modules a site hook loads at interpreter start are not the package's,
-    # so only those that importing knotconc.cli adds are checked
-    code = ("import sys; before = set(sys.modules); import knotconc.cli; "
-            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    # the commands import their layers when they run, so importing
+    # knotconc.cli alone loads few of them: import every module of the
+    # package.  Modules a site hook loads at interpreter start are not the
+    # package's, so only those that these imports add are checked.
+    code = ("import importlib, pkgutil, sys; before = set(sys.modules); import knotconc; "
+            "[importlib.import_module('knotconc.' + m.name) "
+            " for m in pkgutil.iter_modules(knotconc.__path__)]; "
+            "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
-    assert "knotconc" in loaded
-    assert [m for m in loaded if m != "knotconc" and m not in sys.stdlib_module_names] == []
+    package = {f"knotconc.{path.stem}" for path in (REPO / "src" / "knotconc").glob("*.py")
+               if path.stem != "__init__"}
+    assert len(package) > 10 and package <= set(loaded)
+    tops = {m.partition(".")[0] for m in loaded}
+    assert "knotconc" in tops
+    assert [m for m in tops if m != "knotconc" and m not in sys.stdlib_module_names] == []
+
+
+# A command runs in a fresh process through cli.main; the result is its exit
+# code, its stdout and stderr, and the package modules it loaded.
+_FRESH_MAIN = (
+    "import contextlib, io, json, sys\n"
+    "from knotconc.cli import main\n"
+    "out, err = io.StringIO(), io.StringIO()\n"
+    "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "    try:\n"
+    "        code = main(json.loads(sys.argv[1]))\n"
+    "    except SystemExit as e:\n"
+    "        code = e.code\n"
+    "print(json.dumps([code, out.getvalue(), err.getvalue(),\n"
+    "                  sorted(m[9:] for m in sys.modules if m.startswith('knotconc.'))]))\n"
+)
+
+
+def run_fresh(*argv):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, json.dumps(argv)], cwd=REPO,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, err, loaded = json.loads(proc.stdout)
+    return code, out, err, set(loaded)
+
+
+# twelve summands exceed the inference engine's universe limit
+TWELVE_SUMMANDS = ("T(2,7) + T(2,11) + T(2,13) + T(2,17) + T(2,19) + T(2,23) + "
+                   "T(3,5) + T(3,7) + T(3,11) + T(3,13) + T(3,17) + 8_19")
+_ENGINE_ONLY = {"definite", "reproduce", "branched"}
+_BRANCH_COVER = ["branch-cover", "--q", "3", "--b2x", "0", "--sigmax", "0", "--genus", "1"]
+
+
+@pytest.mark.parametrize("argv, code, not_loaded", [
+    (["sig", "--matrix", "[[-1,1],[0,-1]]", "--q", "3"], 0,
+     {"ledger", "infer", "definite", "reproduce", "branched"}),
+    (["sig", "--knot", "T(3,7)"], 2, {"infer", "definite", "reproduce", "branched"}),
+    ([*_BRANCH_COVER, "--sigq-out", "-8", "--sigq-in", "-8"], 0, {"ledger", "infer"}),
+    ([*_BRANCH_COVER, "--self-int", "1", "--sigq-out", "0"], 2, {"ledger", "infer"}),
+    (["theta", "--expr", "T(2,11) + -T(3,5)", "--q", "3"], 0, _ENGINE_ONLY),
+    (["theta", "--expr", TWELVE_SUMMANDS], 2, _ENGINE_ONLY),
+    (["theta-m", "--expr", "T(3,7)", "--m", "4"], 0, _ENGINE_ONLY),
+    (["theta-m", "--expr", "T(3,7)", "--m", "1", "--ledger", "no-such-ledger.json"], 2,
+     _ENGINE_ONLY),
+    (["infer", "--expr", "T(2,5) + -Wh(T(2,3))"], 0, _ENGINE_ONLY),
+    (["genus-bound", "--expr", "T(3,7)", "--rank", "2", "--class", "1,0"], 2,
+     {"reproduce", "branched"}),
+], ids=["sig", "sig-no-matrix", "branch-cover", "cover-inconsistent", "theta",
+        "theta-too-large", "theta-m", "theta-m-missing-ledger", "infer",
+        "genus-bound-hypothesis"])
+def test_each_command_loads_only_its_layers(argv, code, not_loaded):
+    # a fresh process, so an error class comes from a layer the command
+    # imports as it runs; every data error is still one line with exit 2
+    got, _, err, loaded = run_fresh(*argv)
+    assert got == code
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+    assert "cli" in loaded and loaded & not_loaded == set()
+
+
+def test_help_states_the_universe_limit_without_loading_the_engine():
+    from knotconc import infer, knots
+    assert infer.MAX_NODES is knots.MAX_NODES == 4000
+    code, out, _, loaded = run_fresh("theta", "--help")
+    assert code == 0 and "more than 4000 nodes" in " ".join(out.split())
+    assert loaded == {"cli", "cyclotomic", "knots"}
+
+
+def test_data_errors_are_exactly_the_exit_2_classes():
+    import knotconc
+    for m in pkgutil.iter_modules(knotconc.__path__):
+        importlib.import_module(f"knotconc.{m.name}")
+    found, todo = set(), [knotconc.DataError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.add(f"{cls.__module__}.{cls.__qualname__}")
+            todo.append(cls)
+    assert found == {
+        "knotconc.ledger.LedgerError", "knotconc.infer.LedgerInconsistentError",
+        "knotconc.definite.HypothesisError", "knotconc.sequences.InconsistentDataError",
+        "knotconc.branched.CoverDataError", "knotconc.signatures.SingularFormError",
+        "knotconc.seifert.SeifertMatrixError", "knotconc.infer.EngineError",
+    }
 
 
 def test_signatures_import_loads_only_its_layers():
@@ -330,10 +426,7 @@ def test_signatures_import_loads_only_its_layers():
 
 
 def test_engine_error_exit_2(capsys):
-    # twelve summands exceed the inference engine's universe limit
-    expr = ("T(2,7) + T(2,11) + T(2,13) + T(2,17) + T(2,19) + T(2,23) + "
-            "T(3,5) + T(3,7) + T(3,11) + T(3,13) + T(3,17) + 8_19")
-    code, out, err = run(capsys, "theta", "--expr", expr)
+    code, out, err = run(capsys, "theta", "--expr", TWELVE_SUMMANDS)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

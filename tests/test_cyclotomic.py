@@ -180,7 +180,8 @@ def test_sign_under_each_embedding_is_the_sign_of_the_conjugate():
         for _ in range(10):
             a = random_element(rng, q)
             x = a + a.conjugate()
-            for j in range(1, q):
+            # j outside 1..q-1 reads the same cached embedding as j mod q
+            for j in (*range(1, q), q + 1, -1, 3 * q - 1):
                 assert x.sign(j) == x.galois(j).sign(), (x, j)
             for j in (0, q):
                 with pytest.raises(CyclotomicError):
@@ -188,9 +189,12 @@ def test_sign_under_each_embedding_is_the_sign_of_the_conjugate():
 
 
 def test_sign_rejects_non_real():
+    # realness is decided once per element; every later sign is refused too
     z = Cyclotomic.zeta_power(5, 1)
-    with pytest.raises(CyclotomicError):
-        z.sign()
+    for j in (1, 2, 1):
+        with pytest.raises(CyclotomicError):
+            z.sign(j)
+    assert not z.is_real()
 
 
 def test_sign_of_tiny_real_rational():
