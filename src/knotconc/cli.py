@@ -2,8 +2,11 @@
 
 Commands: sig, branch-cover, theta, theta-m, genus-bound, infer, reproduce.
 Exit codes: 0 success, 1 usage error, 2 ledger, hypothesis or
-inference-engine error, 3 reproduction failure.  Output is deterministic for fixed inputs; --json
-switches to a machine-readable report.  --q must be a prime <= MAX_Q.
+inference-engine error, 3 reproduction failure.  A command whose reader
+closes stdout before the output ends (``knotconc ... | head -1``) keeps
+the exit code it decided and prints nothing to stderr.  Output is
+deterministic for fixed inputs; --json switches to a machine-readable
+report.  --q must be a prime <= MAX_Q.
 Expressions nest at most knots.MAX_NESTING deep (deeper is a usage error),
 and a query whose inference universe needs more than knots.MAX_NODES nodes
 is refused with exit 2 before any rule fires (the limit is kept in ``knots``
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -74,7 +78,7 @@ def _load(args) -> Ledger:
 
 
 def _check_q(q: int) -> int:
-    # the size check comes first: trial division of a huge prime never ends
+    # size first: the message names MAX_Q, and is_prime raises beyond its exact range
     if q > MAX_Q:
         raise _UsageError(f"--q must be at most {MAX_Q}, got {q}")
     if not is_prime(q):
@@ -83,11 +87,16 @@ def _check_q(q: int) -> int:
 
 
 def _emit(args, human_lines, json_obj) -> None:
-    if args.json:
-        print(json.dumps(json_obj, indent=1, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(json_obj, indent=1, sort_keys=True))
+        else:
+            for line in human_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped reading; the rest goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _interval_lines(iv: BoundInterval, verbose: bool) -> list[str]:
@@ -176,34 +185,22 @@ def _parse_expr_arg(text: str):
 
 
 def _cmd_theta(args) -> int:
-    from .infer import infer_theta
+    """theta^(q)(K, m) for ``theta-m``; theta^(q)(K) for ``theta`` (m is None)."""
+    from .infer import infer_theta, infer_theta_m
     q = _check_q(args.q)
-    ledger = _load(args)
-    expr = _parse_expr_arg(args.expr)
-    iv = infer_theta(ledger, expr, q=q)
-    lines = [f"theta^({q})({expr_to_string(expr)}):"]
-    lines += _interval_lines(iv, verbose=not args.quiet)
-    _emit(args, lines, {
-        "command": "theta", "query": expr_to_string(expr), "q": q,
-        "result": _interval_json(iv),
-    })
-    return 0
-
-
-def _cmd_theta_m(args) -> int:
-    from .infer import infer_theta_m
-    q = _check_q(args.q)
-    if args.m < 0:
+    if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
     ledger = _load(args)
     expr = _parse_expr_arg(args.expr)
-    iv = infer_theta_m(ledger, expr, q, args.m)
-    lines = [f"theta^({q})({expr_to_string(expr)}, m={args.m}):"]
-    lines += _interval_lines(iv, verbose=not args.quiet)
-    _emit(args, lines, {
-        "command": "theta-m", "query": expr_to_string(expr), "q": q, "m": args.m,
-        "result": _interval_json(iv),
-    })
+    query = expr_to_string(expr)
+    if args.m is None:
+        iv = infer_theta(ledger, expr, q=q)
+        header, obj = f"theta^({q})({query}):", {"command": "theta"}
+    else:
+        iv = infer_theta_m(ledger, expr, q, args.m)
+        header, obj = f"theta^({q})({query}, m={args.m}):", {"command": "theta-m", "m": args.m}
+    _emit(args, [header, *_interval_lines(iv, verbose=not args.quiet)],
+          {**obj, "query": query, "q": q, "result": _interval_json(iv)})
     return 0
 
 
@@ -247,13 +244,13 @@ def _cmd_genus_bound(args) -> int:
         f"(rank {args.rank}, q = {q}):",
         f"  m = {bound.m}, a^2 = {bound.a_square}",
         f"  g >= {bound.value} "
-        f"({'exact theta' if bound.exact_theta else 'theta interval lower end'})",
+        f"({'exact theta' if bound.theta_interval.exact else 'theta interval lower end'})",
     ]
     obj = {
         "command": "genus-bound", "query": expr_to_string(expr), "q": q,
         "rank": args.rank, "class": list(a.coords), "m": bound.m,
         "a_square": bound.a_square, "bound": _frac_json(bound.value),
-        "exact_theta": bound.exact_theta,
+        "exact_theta": bound.theta_interval.exact,
         "theta": _interval_json(bound.theta_interval),
     }
     if args.compare:
@@ -297,7 +294,7 @@ def _cmd_reproduce(args) -> int:
     if args.list:
         lines = []
         obj = []
-        for c in reproduce_mod.list_checks():
+        for c in reproduce_mod.checks():
             lines.append(f"[{c.section}] {c.check_id}: {c.description}")
             obj.append({"id": c.check_id, "section": c.section,
                         "description": c.description})
@@ -310,18 +307,19 @@ def _cmd_reproduce(args) -> int:
     lines = []
     obj = []
     failures = 0
-    for r in results:
-        status = "pass" if r.ok else "FAIL"
-        lines.append(f"{status}  [{r.section}] {r.check_id}: {r.description}")
-        if not r.ok:
+    for c, got, want in results:
+        ok = got == want
+        status = "pass" if ok else "FAIL"
+        lines.append(f"{status}  [{c.section}] {c.check_id}: {c.description}")
+        if not ok:
             failures += 1
-            lines.append(f"      got:  {r.got}")
-            lines.append(f"      want: {r.want}")
-            if r.note:
-                lines.append(f"      note: {r.note}")
+            lines.append(f"      got:  {got}")
+            lines.append(f"      want: {want}")
+            if c.note:
+                lines.append(f"      note: {c.note}")
         obj.append({
-            "id": r.check_id, "section": r.section, "ok": r.ok,
-            "got": r.got, "want": r.want, "note": r.note,
+            "id": c.check_id, "section": c.section, "ok": ok,
+            "got": got, "want": want, "note": c.note,
         })
     lines.append(f"{len(results) - failures}/{len(results)} checks passed")
     _emit(args, lines, {"command": "reproduce", "results": obj,
@@ -369,13 +367,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("theta", parents=[common], help="theta^(q) of an expression")
     p.add_argument("--expr", required=True, help=expr_help)
     p.add_argument("--quiet", action="store_true", help="value only, no derivation")
-    p.set_defaults(fn=_cmd_theta)
+    p.set_defaults(fn=_cmd_theta, m=None)
 
     p = sub.add_parser("theta-m", parents=[common], help="the m-shifted invariant")
     p.add_argument("--expr", required=True, help=expr_help)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=_cmd_theta_m)
+    p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("genus-bound", parents=[common],
                        help="genus lower bound in a negative definite 4-manifold")

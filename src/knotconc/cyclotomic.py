@@ -48,18 +48,37 @@ _SIGN_MAX_PREC = 1 << 15
 MAX_Q = 97
 
 
+# The first twelve primes.  As Miller-Rabin bases they decide primality
+# exactly below _PSI_12, the least strong pseudoprime to all twelve.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Trial division by the witnesses, then Miller-Rabin with them as bases;
+    exact for n < _PSI_12 (about 3.2e23), and larger n raise ValueError."""
+    if n >= _PSI_12:
+        raise ValueError(f"is_prime is exact only below {_PSI_12}, got {n}")
     if n < 2:
         return False
-    if n < 4:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n < 37 * 37:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -93,11 +93,9 @@ class GenusBound:
     """A lower bound for g_4(K, X, a), with how theta was obtained."""
 
     value: Fraction
-    q: int
     m: int
     a_square: int
     theta_interval: BoundInterval
-    exact_theta: bool
 
 
 def _genus_bound(ledger: Ledger, expr: Key, q: int, m: int, a_sq: int,
@@ -106,8 +104,8 @@ def _genus_bound(ledger: Ledger, expr: Key, q: int, m: int, a_sq: int,
     assert m >= 0
     interval = infer_theta_m(ledger, expr, q, m)
     return GenusBound(
-        value=interval.lower + shift, q=q, m=m, a_square=a_sq,
-        theta_interval=interval, exact_theta=interval.exact,
+        value=interval.lower + shift, m=m, a_square=a_sq,
+        theta_interval=interval,
     )
 
 

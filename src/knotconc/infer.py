@@ -413,19 +413,6 @@ def _check_universe_size(query: Key) -> None:
             )
 
 
-def _atom_counts(key: Key) -> tuple[list, list[int]]:
-    """Distinct signed atoms of a sorted key and how often each occurs."""
-    atoms: list = []
-    counts: list[int] = []
-    for atom in key:
-        if atoms and atoms[-1] == atom:
-            counts[-1] += 1
-        else:
-            atoms.append(atom)
-            counts.append(1)
-    return atoms, counts
-
-
 def _replace(key: Key, old: Key, new: Key) -> Key:
     """The multiset key with its sub-multiset old swapped for new."""
     atoms = list(key)
@@ -444,10 +431,10 @@ def _binary_splits(key: Key):
     # concatenation): one built from an iterator is allocated for a guessed
     # size and shrunk, so CPython's tuple free lists keep every such tuple
     # discarded, which made the memory of a long run grow with each query.
-    atoms, counts = _atom_counts(key)
-    runs = [[(atom,) * p for p in range(c + 1)] for atom, c in zip(atoms, counts)]
+    counts = Counter(key)  # in the order of the sorted key
+    runs = [[(atom,) * p for p in range(c + 1)] for atom, c in counts.items()]
     pairs = zip(itertools.product(*runs), itertools.product(*[r[::-1] for r in runs]))
-    n_vectors = math.prod(c + 1 for c in counts)
+    n_vectors = math.prod(c + 1 for c in counts.values())
     for part, rest in itertools.islice(pairs, 1, (n_vectors + 1) // 2):
         yield sum(part, ()), sum(rest, ())
 

@@ -114,19 +114,12 @@ class Fact:
         return None if rule == 0 else self.value if rule == 1 else -self.value
 
 
-@dataclass(frozen=True)
-class CrossingRelation:
-    """K- is obtained from K+ by changing a positive crossing to negative."""
-
-    plus: Key
-    minus: Key
-
-
 @dataclass
 class Ledger:
     atoms: dict[str, KnotAtom]
     facts: dict[tuple, Fact] = field(default_factory=dict)
-    relations: tuple[CrossingRelation, ...] = ()
+    # (K+, K-): changing a positive crossing of K+ to negative gives K-
+    relations: tuple[tuple[Key, Key], ...] = ()
 
     # -- lookup -------------------------------------------------------------
 
@@ -237,7 +230,7 @@ def _fact_from_json(obj: dict, atoms: dict[str, KnotAtom]) -> Fact:
     q = obj.get("q")
     j = obj.get("j")
     if takes_q:
-        # the size check comes first: trial division of a huge prime never ends
+        # size first: the message names MAX_Q, and is_prime raises beyond its exact range
         if not _is_int(q) or q > MAX_Q or not is_prime(q):
             raise LedgerError(f"fact {kind}({name}) needs a prime q <= {MAX_Q}, got {q!r}")
     elif q is not None:
@@ -341,15 +334,15 @@ def _check_cross_facts(ledger: Ledger) -> None:
 def _check_relations(ledger: Ledger) -> None:
     """Where sigma is known on both sides, a positive-to-negative crossing
     change must have sigma(K+) - sigma(K-) in {0, -2}."""
-    for rel in ledger.relations:
-        sp = ledger.sigma_q_expr(rel.plus, 2)
-        sm = ledger.sigma_q_expr(rel.minus, 2)
+    for plus, minus in ledger.relations:
+        sp = ledger.sigma_q_expr(plus, 2)
+        sm = ledger.sigma_q_expr(minus, 2)
         if sp is None or sm is None:
             continue
         if sp - sm not in (0, -2):
             raise LedgerError(
-                f"crossing relation {expr_to_string(rel.plus)} -> "
-                f"{expr_to_string(rel.minus)}: sigma jump {sp - sm} not in {{0, -2}}"
+                f"crossing relation {expr_to_string(plus)} -> "
+                f"{expr_to_string(minus)}: sigma jump {sp - sm} not in {{0, -2}}"
             )
 
 
@@ -402,12 +395,11 @@ def ledger_from_json(data: dict) -> Ledger:
             minus = parse_expression(obj["minus"])
         except (KeyError, ValueError) as e:
             raise LedgerError(f"bad crossing relation {obj!r}: {e}") from None
-        relations.append(CrossingRelation(plus=plus, minus=minus))
+        relations.append((plus, minus))
 
     ledger = Ledger(atoms=atoms, facts=facts, relations=tuple(relations))
-    for rel in ledger.relations:
-        ledger.require_atoms(rel.plus)
-        ledger.require_atoms(rel.minus)
+    for plus, minus in ledger.relations:
+        ledger.require_atoms(plus + minus)
     _check_signature_facts_against_matrices(ledger)
     _check_cross_facts(ledger)
     _check_relations(ledger)

@@ -76,9 +76,9 @@ class LedgerBounds:
         """The ledger's crossing-change relations, reduced, and their
         mirrors: if K+ -> K- is one, so is -K- -> -K+."""
         out = []
-        for rel in self.ledger.relations:
-            plus = self.reduce(rel.plus)
-            minus = self.reduce(rel.minus)
+        for plus, minus in self.ledger.relations:
+            plus = self.reduce(plus)
+            minus = self.reduce(minus)
             out.append((plus, minus))
             out.append((mirror_atoms(minus), mirror_atoms(plus)))
         return out

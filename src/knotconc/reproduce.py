@@ -4,8 +4,8 @@ sources report, recomputed from scratch and compared.
 Each check recomputes a published value through the library (exact
 signatures, the delta -> xi -> j -> theta pipeline, the inference engine,
 branched-cover arithmetic, or the definite-manifold bounds) and compares it
-with the cited value.  ``run`` returns structured results; the CLI renders
-them and exits nonzero when anything fails.
+with the cited value.  ``run`` returns each check with what it got and
+what it wants; the CLI renders them and exits nonzero when anything fails.
 
 Two checks (the `T(2,5) + -Wh(T(2,3))` pair) are known to fail: the source
 example's claimed values contradict the theta axioms themselves (its own
@@ -38,31 +38,12 @@ from .signatures import sigma_q, signature
 
 
 @dataclass
-class CheckResult:
-    check_id: str
-    section: int
-    description: str
-    ok: bool
-    got: str
-    want: str
-    note: str = ""
-
-
-@dataclass
 class Check:
     check_id: str
     section: int
     description: str
     fn: Callable[[Ledger], tuple[str, str]]
     note: str = ""
-
-    def run(self, ledger: Ledger) -> CheckResult:
-        got, want = self.fn(ledger)
-        return CheckResult(
-            check_id=self.check_id, section=self.section,
-            description=self.description, ok=(got == want),
-            got=got, want=want, note=self.note,
-        )
 
 
 def _theta_engine(ledger: Ledger, text: str, q: int = 2) -> str:
@@ -80,11 +61,11 @@ def _torus_theta(n: int, sign: int, mirror: bool) -> Fraction:
     return theta_from_mirror_delta(2, delta, sig)
 
 
-def _checks() -> list[Check]:
-    checks: list[Check] = []
+def checks() -> list[Check]:
+    out: list[Check] = []
 
     def add(check_id, section, description, fn, note=""):
-        checks.append(Check(check_id, section, description, fn, note))
+        out.append(Check(check_id, section, description, fn, note))
 
     # ---- section 2: signatures and branched covers ----
     add("sig-trefoil", 2, "sigma(T(2,3)) = -2 (positive trefoil calibration)",
@@ -261,24 +242,18 @@ def _checks() -> list[Check]:
         "theta bound >= tau bound on a sample grid (full grid in the test suite)",
         theta_beats_tau)
 
-    return checks
+    return out
 
 
-def list_checks() -> list[Check]:
-    return _checks()
-
-
-def run(ledger: Ledger, section: Optional[int] = None) -> list[CheckResult]:
+def run(ledger: Ledger, section: Optional[int] = None) -> list[tuple[Check, str, str]]:
+    """``(check, got, want)`` for each check of ``section`` (all when None)."""
     results = []
-    for check in _checks():
+    for check in checks():
         if section is not None and check.section != section:
             continue
         try:
-            results.append(check.run(ledger))
+            got, want = check.fn(ledger)
         except Exception as e:  # a crash is a failing check, not a crash of the driver
-            results.append(CheckResult(
-                check_id=check.check_id, section=check.section,
-                description=check.description, ok=False,
-                got=f"error: {e}", want="(value)", note=check.note,
-            ))
+            got, want = f"error: {e}", "(value)"
+        results.append((check, got, want))
     return results

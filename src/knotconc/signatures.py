@@ -35,8 +35,9 @@ of order q modulo p, reducing modulo the prime above p where zeta = r^e
 maps D_k to the minor of the integer matrix H(r^e) mod p.  The elimination
 runs modulo p at e = 1..q//2 in lockstep; H(r^(-e)) = H(r^e)^T has the same
 principal minors, so these roots cover all q - 1 of them.  The primes are
-found lazily below 2^62 and cached per q; Miller-Rabin with the first
-twelve primes as bases decides primality below 3.18e23, far above them.
+found lazily below 2^62 and cached per q; ``cyclotomic.is_prime``
+(Miller-Rabin with the first twelve primes as bases) decides primality
+exactly below 3.18e23, far above them.
 
 The plan.  At the first prime the plan takes, at each step, the first
 diagonal entry of the Schur complement that is nonzero at every root, or
@@ -86,7 +87,6 @@ from .seifert import SeifertMatrix
 
 # the primes used lie just below 2^_PRIME_BITS
 _PRIME_BITS = 62
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # q -> the primes p = 1 (mod 2q) found so far, largest first, each with a
 # root of order q mod p.  Extended on demand and replaced whole, so a
 # concurrent reader sees a prefix of the same sequence.
@@ -95,25 +95,6 @@ _primes: dict[int, tuple[tuple[int, int], ...]] = {}
 
 class SingularFormError(ArithmeticError, DataError):
     """The Hermitian form is degenerate at the requested root of unity."""
-
-
-def _is_prime_mr(n: int) -> bool:
-    """Miller-Rabin with the first twelve primes as bases, for odd n > 37:
-    exact below 3.18e23."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _prime(q: int, i: int) -> tuple[int, int]:
@@ -126,7 +107,7 @@ def _prime(q: int, i: int) -> tuple[int, int]:
         while len(more) <= i:
             p = 2 * q * t + 1
             t -= 1
-            if _is_prime_mr(p):
+            if is_prime(p):
                 g = 2
                 while pow(g, (p - 1) // q, p) == 1:
                     g += 1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from knotconc.cli import MAX_Q, main
+from knotconc.cli import MAX_Q, REPRODUCE_FAILURE, main
 from knotconc.ledger import seed_ledger_text
 
 REPO = Path(__file__).resolve().parent.parent
@@ -305,6 +305,34 @@ def test_python_m_entry_point():
     assert "sigma^(3) = -4" in proc.stdout.splitlines()
 
 
+# 131 KB of derivation, more than a pipe holds, so the reader closes the pipe
+# while the command still writes
+SEVEN_SUMMANDS = "T(3,5) + -T(3,7) + T(3,11) + -T(3,13) + T(3,17) + -T(3,19) + T(3,23)"
+
+
+def test_closed_stdout_keeps_the_exit_code_silently():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+
+    def run(argv, first_line):
+        proc = subprocess.Popen([sys.executable, "-m", "knotconc", *argv], cwd=REPO,
+                                env=env, text=True, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        if first_line is not None:
+            assert proc.stdout.readline().startswith(first_line)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), err
+
+    # the reader stops after one line of 131 KB
+    for _ in range(10):
+        assert run(["theta", "--expr", SEVEN_SUMMANDS], "theta^(2)(") == (0, "")
+    # the reader is gone before the first write: a failing reproduction
+    # still exits 3
+    for argv in (["reproduce", "--json"], ["reproduce"]):
+        assert run(argv, None) == (REPRODUCE_FAILURE, "")
+
+
 def test_cli_imports_only_the_standard_library():
     # the commands import their layers when they run, so importing
     # knotconc.cli alone loads few of them: import every module of the
@@ -463,7 +491,8 @@ def test_repeated_summands(capsys):
 
 def test_q_limit(capsys):
     assert MAX_Q == 97
-    # 2^89 - 1 is prime: the size check must come before trial division
+    # 2^89 - 1 is prime and beyond is_prime's exact range: the size check
+    # comes first, so it is a usage error that names the limit
     for q in ("101", "10007", str(2 ** 89 - 1)):
         for argv in (["sig", "--matrix", "[[-1,1],[0,-1]]", "--q", q],
                      ["theta", "--expr", "T(3,7)", "--q", q]):

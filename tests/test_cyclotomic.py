@@ -21,6 +21,24 @@ def to_complex(a: Cyclotomic) -> complex:
 
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    n = 10 ** 5
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, n, p))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 (psi_4) and to the first
+    # eleven primes (psi_11): trial division by the witnesses passes both
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+
+
+@pytest.mark.parametrize("n", [318665857834031151167461, 2 ** 89 - 1])
+def test_is_prime_refuses_integers_beyond_its_exact_range(n):
+    # psi_12 is a strong pseudoprime to all twelve bases; 2^89 - 1 is a prime
+    # above it.  Both are refused at once, not answered
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(n)
 
 
 def test_basic_identities():

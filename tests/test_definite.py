@@ -68,7 +68,7 @@ def test_genus_bound_q2_values():
     t37 = parse_expression("T(3,7)")
     assert genus_bound_q2(L, t37, HomologyClass((0, 0, 0))).value == 6
     b = genus_bound_q2(L, t37, HomologyClass((2, 0, 0)))
-    assert b.value == 5 and b.m == 0 and b.a_square == -4 and b.exact_theta
+    assert b.value == 5 and b.m == 0 and b.a_square == -4 and b.theta_interval.exact
     assert genus_bound_q2(L, parse_expression("unknot"), HomologyClass((0,))).value == 0
 
 
@@ -92,7 +92,7 @@ def test_genus_bound_odd_q_values():
     b = genus_bound_odd_q(3, L, t27, HomologyClass((3,)))
     assert b.m == 4 and b.a_square == -9
     assert b.value == b.theta_interval.lower - 2
-    assert not b.exact_theta
+    assert not b.theta_interval.exact
 
 
 def test_zero_class_reduces_to_theta():
@@ -104,7 +104,7 @@ def test_zero_class_reduces_to_theta():
         b = genus_bound_q2(L, e, HomologyClass((0, 0)))
         assert b.m == 0 and b.value == iv.lower
         if iv.exact:
-            assert b.exact_theta and b.value == iv.value
+            assert b.theta_interval.exact and b.value == iv.value
     iv3 = infer_theta(L, parse_expression("T(2,7)"), q=3)
     b3 = genus_bound_odd_q(3, L, parse_expression("T(2,7)"), HomologyClass((0, 0)))
     assert b3.value == iv3.value == 3

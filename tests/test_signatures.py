@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from knotconc.cyclotomic import Cyclotomic
+from knotconc.cyclotomic import Cyclotomic, is_prime
 from knotconc.seifert import SeifertMatrix, UNKNOT_MATRIX, two_strand_torus_matrix
 from knotconc.signatures import (
     SingularFormError,
@@ -171,6 +171,15 @@ def test_pivot_vanishing_mod_a_prime_in_use(monkeypatch):
                 assert plans[0][0] == (0,)
                 assert [p for p, out in calls if out is None] == [second]
             assert len(plans) >= 2  # a lift over more than one prime
+
+
+def test_primes_split_with_a_root_of_order_q():
+    for q in (2, 3, 5, 7, 97):
+        for i in range(3):
+            p, r = _prime(q, i)
+            assert p < 2 ** 62 and p % (2 * q) == 1 and is_prime(p)
+            assert r != 1 and pow(r, q, p) == 1
+        assert _prime(q, 0)[0] > _prime(q, 1)[0] > _prime(q, 2)[0]
 
 
 def test_no_plan_at_a_prime_reads_the_determinant(monkeypatch):
