@@ -86,8 +86,9 @@ class CyclotomicError(ValueError):
     pass
 
 
-def _check_field(q: int) -> None:
-    """The one check of the field order that every constructor makes."""
+def check_prime(q: int) -> None:
+    """Raise CyclotomicError unless q is prime; every constructor of
+    Q(zeta_q) and the signature, sequence and engine layers call it."""
     if not is_prime(q):
         raise CyclotomicError(f"q must be prime, got {q}")
 
@@ -144,7 +145,7 @@ class Cyclotomic:
     __slots__ = ("q", "num", "den", "_real")
 
     def __new__(cls, q: int, num, den: int = 1) -> "Cyclotomic":
-        _check_field(q)
+        check_prime(q)
         num = list(num)
         if len(num) != q - 1:
             raise CyclotomicError(
@@ -165,7 +166,7 @@ class Cyclotomic:
 
     @staticmethod
     def zero(q: int) -> "Cyclotomic":
-        _check_field(q)
+        check_prime(q)
         return _normalized(q, [0] * (q - 1), 1)
 
     @staticmethod
@@ -174,7 +175,7 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(q: int, a) -> "Cyclotomic":
-        _check_field(q)
+        check_prime(q)
         f = Fraction(a)
         num = [0] * (q - 1)
         num[0] = f.numerator
@@ -183,7 +184,7 @@ class Cyclotomic:
     @staticmethod
     def zeta_power(q: int, k: int) -> "Cyclotomic":
         """zeta_q^k, any integer k."""
-        _check_field(q)
+        check_prime(q)
         acc = [0] * q
         acc[k % q] = 1
         return _folded(q, acc, 1)

@@ -152,11 +152,6 @@ class BoundComparison:
     tau_bound: int
     sig1_bound: int
     sig2_bound: int
-    theta_pieces: tuple[Fraction, Fraction]
-
-    def best(self) -> Fraction:
-        return max(self.theta_bound, Fraction(self.tau_bound),
-                   Fraction(self.sig1_bound), Fraction(self.sig2_bound))
 
 
 def compare_bounds(n: int, x: Sequence[int], r: int) -> BoundComparison:
@@ -191,5 +186,4 @@ def compare_bounds(n: int, x: Sequence[int], r: int) -> BoundComparison:
         tau_bound=tau_bound,
         sig1_bound=sig1,
         sig2_bound=sig2,
-        theta_pieces=(piece1, piece2),
     )

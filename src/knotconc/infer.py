@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import DataError
-from .cyclotomic import is_prime
+from .cyclotomic import check_prime
 from .knots import MAX_NODES, Key, expr_to_string, mirror_atoms
 from .ledger import Ledger
 from .ledger_bounds import LedgerBounds
@@ -124,8 +124,7 @@ class InferenceEngine:
     """
 
     def __init__(self, ledger: Ledger, q: int, rule_seed: Optional[int] = None):
-        if not is_prime(q):
-            raise ValueError(f"q must be prime, got {q}")
+        check_prime(q)
         self.ledger = ledger
         self.q = q
         self.rule_seed = rule_seed

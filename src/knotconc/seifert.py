@@ -17,6 +17,8 @@ from . import DataError
 # Largest size of a Seifert matrix (genus 15, that of T(2,31)); exact
 # signature work grows quickly with it, so it is checked before any entry.
 MAX_SEIFERT_SIZE = 30
+# Largest absolute value of an entry: the primes a signature lifts over grow with it.
+MAX_SEIFERT_ENTRY = 1 << 62
 
 
 class SeifertMatrixError(ValueError, DataError):
@@ -62,6 +64,9 @@ class SeifertMatrix:
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise SeifertMatrixError(
                         f"Seifert matrix entries must be integers, got {x!r}")
+                if abs(x) > MAX_SEIFERT_ENTRY:
+                    raise SeifertMatrixError(f"Seifert matrix entry of {x.bit_length()} "
+                                             f"bits is above the limit {MAX_SEIFERT_ENTRY}")
         if any(len(row) != n for row in rows):
             raise SeifertMatrixError("Seifert matrix must be square")
         if n % 2 != 0:

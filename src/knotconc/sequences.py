@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import DataError
-from .cyclotomic import is_prime
+from .cyclotomic import check_prime
 
 
 class SequenceError(ValueError):
@@ -84,8 +84,7 @@ def xi_sequence(delta: DeltaSequence, sigq: int, q: int) -> DeltaSequence:
     delta_j = -sigma^(q)/2 (mod 4); failing it means the (delta, sigma) pair
     cannot come from one knot.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    check_prime(q)
     shift = Fraction(sigq, 8)
     out = []
     for j in range(delta.prefix_len()):
@@ -139,8 +138,7 @@ def theta(q: int, j_mirror: int, sigq_K: int) -> Fraction:
     q = 2:   max(0, j(-K) - sigma(K)/2)
     odd q:   max(0, (2 j^(q)(-K) - sigma^(q)(K)/2) / (q-1))
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    check_prime(q)
     if j_mirror < 0:
         raise ValueError(f"j value must be >= 0, got {j_mirror}")
     if sigq_K % 2 != 0:
@@ -255,8 +253,7 @@ def crossing_change_shifts(q: int, sigq_plus: int, sigq_minus: int) -> tuple[int
     Both must be >= 0, which pins the admissible signature jump to
     -2(q-1) <= sigma^(q)(K+) - sigma^(q)(K-) <= 0.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    check_prime(q)
     jump = sigq_plus - sigq_minus
     if jump % 2 != 0 or not -2 * (q - 1) <= jump <= 0:
         raise InconsistentDataError(
@@ -305,8 +302,7 @@ def ell_lower_bound(q: int, ell_mirror: int, sigq_K: int, m: int = 0) -> Fractio
 
         theta^(q)(K, m) >= ell^(q)(-K)/(q-1) - m/(2(q-1)) - 3*sigma^(q)(K)/(4(q-1)).
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    check_prime(q)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     return (

@@ -45,12 +45,17 @@ failing that the first 2x2 principal block whose determinant is.  A
 nonzero residue proves a nonzero minor, so every pivot of the plan is
 exactly nonzero.  Later primes follow the same plan; a prime at which one
 of its pivots vanishes (an unlucky prime, which divides the norm of that
-pivot) is skipped.  If no plan can be made at a prime, the determinant of
-H(r^e) is read from that prime instead; a form whose lifted determinant is
-exactly 0 is degenerate and raises SingularFormError.  At omega of prime
-order a Seifert form is never degenerate (roots of unity of prime power
-order are never roots of an Alexander polynomial normalized with p(1) = 1),
-so for those an unlucky prime only costs its time.
+pivot) is skipped, and so is a prime at which no plan can be made.
+
+Nondegeneracy.  H(zeta) = (1 - zeta)(V - conj(zeta) V^T).  Were det H(zeta)
+0, conj(zeta) would be a root of det(V - t V^T), so Phi_q would divide it
+in Z[t] and q = Phi_q(1) would divide det(V - V^T), which ``SeifertMatrix``
+makes +/-1.  So H(zeta) is nonsingular, and so is each Schur complement on
+the way; one with a zero diagonal has an entry b != 0, and a block
+[[0, b], [conj(b), 0]] of determinant -|b|^2.  The pivot rules thus make a
+plan over Q(zeta), which the residues follow at every prime that divides
+none of the finitely many norms met on the way: only finitely many primes
+make no plan, and the lift ends.
 
 Read-back.  With D = sum c_i zeta^i over i = 0..q-2, Tr(zeta^m) is q - 1
 when q divides m and -1 otherwise, so
@@ -81,8 +86,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from . import DataError
-from .cyclotomic import Cyclotomic, is_prime
+from .cyclotomic import Cyclotomic, check_prime, is_prime
 from .seifert import SeifertMatrix
 
 # the primes used lie just below 2^_PRIME_BITS
@@ -91,10 +95,6 @@ _PRIME_BITS = 62
 # root of order q mod p.  Extended on demand and replaced whole, so a
 # concurrent reader sees a prefix of the same sequence.
 _primes: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-class SingularFormError(ArithmeticError, DataError):
-    """The Hermitian form is degenerate at the requested root of unity."""
 
 
 def _prime(q: int, i: int) -> tuple[int, int]:
@@ -208,21 +208,6 @@ def _eliminate(forms: list[list[list[int]]], p: int, plan: list | None):
     return plan, minors
 
 
-def _det_mod(m: list[list[int]], p: int) -> int:
-    """The determinant mod p of a square matrix over F_p; ``m`` is
-    consumed."""
-    det = 1
-    while m:
-        k = next((k for k, row in enumerate(m) if row[0]), None)
-        if k is None:
-            return 0
-        row = m.pop(k)
-        det = det * (-row[0] if k % 2 else row[0]) % p
-        inv = pow(row[0], -1, p)
-        m = [[(y - s[0] * inv * z) % p for y, z in zip(s[1:], row[1:])] for s in m]
-    return det
-
-
 def _read_back(values: list[list[int]], q: int, p: int, r: int) -> list[list[int]]:
     """The power-basis coefficients mod p of real elements D of Z[zeta]
     from their values mod p at zeta = r^e, e = 1..q//2:
@@ -252,28 +237,17 @@ def _symmetric(xs: list[int], m: int) -> list[int]:
 
 
 def _principal_minors(rows, q: int) -> list[Cyclotomic]:
-    """The nested principal minors D_1..D_n of H(zeta) for the integer
-    matrix ``rows`` and prime q, in the order of one pivot plan, exact in
-    Z[zeta].  Raises SingularFormError on a degenerate form."""
+    """The nested principal minors D_1..D_n of H(zeta) for the rows of a
+    Seifert matrix and prime q, in the order of one pivot plan, exact in
+    Z[zeta]."""
     bound = 16 * _hadamard_square(rows)  # the modulus M must exceed 4B
     plan, lifted, modulus = None, [[0] * (q - 1) for _ in rows], 1
-    det, det_modulus = [0] * (q - 1), 1
     i = 0
     while modulus * modulus <= bound:
         p, r = _prime(q, i)
         i += 1
         out = _eliminate(_forms_mod(rows, q, p, r), p, plan)
         if out is None:
-            if plan is None:
-                # no plan at p: the lifted determinant decides degeneracy
-                value = [_det_mod(m, p) for m in _forms_mod(rows, q, p, r)]
-                det = _crt(det, det_modulus, _read_back([value], q, p, r)[0], p)
-                det_modulus *= p
-                if det_modulus * det_modulus > bound and not any(det):
-                    raise SingularFormError(
-                        "Hermitian form is degenerate (omega is a root of the "
-                        "Alexander polynomial)"
-                    )
             continue
         plan, minors = out
         lifted = [_crt(x, modulus, c, p) for x, c in zip(lifted, _read_back(minors, q, p, r))]
@@ -287,8 +261,7 @@ def lt_signatures(V: SeifertMatrix, q: int) -> tuple[int, ...]:
 
     q must be prime.  Every entry is exact and even.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    check_prime(q)
     minors = _principal_minors(V.rows, q)
     half = []
     for j in range(1, q // 2 + 1):

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -436,8 +437,8 @@ def test_data_errors_are_exactly_the_exit_2_classes():
     assert found == {
         "knotconc.ledger.LedgerError", "knotconc.infer.LedgerInconsistentError",
         "knotconc.definite.HypothesisError", "knotconc.sequences.InconsistentDataError",
-        "knotconc.branched.CoverDataError", "knotconc.signatures.SingularFormError",
-        "knotconc.seifert.SeifertMatrixError", "knotconc.infer.EngineError",
+        "knotconc.branched.CoverDataError", "knotconc.seifert.SeifertMatrixError",
+        "knotconc.infer.EngineError",
     }
 
 
@@ -509,12 +510,24 @@ def test_q_limit(capsys):
 
 
 @pytest.mark.parametrize("matrix", ["5", "[[-1,1],5]", "[" * 100_000, "[" + "9" * 5000 + "]",
-                                    json.dumps([[0] * 32] * 32)],
-                         ids=["int", "row-int", "nested-too-deep", "huge-integer", "32x32"])
+                                    json.dumps([[0] * 32] * 32),
+                                    json.dumps([[-1, 1], [0, -(2 ** 62) - 1]])],
+                         ids=["int", "row-int", "nested-too-deep", "huge-integer", "32x32",
+                              "entry-above-limit"])
 def test_bad_matrix_exit_1(matrix, capsys):
     code, out, err = run(capsys, "sig", "--matrix", matrix)
     assert code == 1 and out == ""
     assert err.startswith("usage error: bad --matrix: ") and err.count("\n") == 1
+
+
+def test_entry_above_the_limit_refused_at_once(capsys):
+    # refused before any signature work, which for a 4,000-digit entry at
+    # q = 97 takes seconds
+    start = time.perf_counter()
+    code, _, err = run(capsys, "sig", "--matrix", "[[" + "9" * 4000 + ", 1], [0, -1]]",
+                       "--q", "97")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and "entry of 13288 bits is above the limit" in err
 
 
 TREFOIL = {"name": "K", "seifert": [[-1, 1], [0, -1]]}
@@ -546,6 +559,8 @@ MALFORMED_LEDGERS = {
     "q-above-limit": _ledger(facts=[_fact(kind="sigma_q", q=1009, value=-4)]),
     "q-huge-prime": _ledger(facts=[_fact(kind="sigma_q", q=2 ** 89 - 1, value=-4)]),
     "seifert-32x32": _ledger(atoms=[{"name": "K", "seifert": [[0] * 32] * 32}]),
+    "seifert-entry-above-limit": _ledger(atoms=[
+        {"name": "K", "seifert": [[2 ** 62 + 1, 1], [0, -1]]}]),
     "mirror-sigma-disagrees": _ledger(atoms=[{"name": "K"}], facts=[
         _fact(kind="sigma", value=-2), _fact(knot="-K", kind="sigma", value=-2)]),
     "mirror-g4-disagrees": _ledger(atoms=[{"name": "K"}], facts=[

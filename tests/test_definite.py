@@ -126,10 +126,8 @@ def test_compare_bounds_tables():
     assert (c.theta_bound, c.tau_bound, c.sig1_bound, c.sig2_bound) == (6, 6, 4, -7)
     c = compare_bounds(1, (1, 0, 0), 3)
     assert (c.theta_bound, c.tau_bound, c.sig1_bound, c.sig2_bound) == (5, 5, 3, -6)
-    assert c.theta_pieces == (3, 5)
     c = compare_bounds(1, (3, 3, 3), 3)
     assert c.theta_bound == -23 and c.sig2_bound == 20
-    assert c.best() == 20
 
 
 def test_compare_bounds_bad_input():

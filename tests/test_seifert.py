@@ -3,6 +3,7 @@ import random
 import pytest
 
 from knotconc.seifert import (
+    MAX_SEIFERT_ENTRY,
     MAX_SEIFERT_SIZE,
     SeifertMatrix,
     SeifertMatrixError,
@@ -49,6 +50,14 @@ def test_rejects_link_matrix():
 def test_rejects_non_integer():
     with pytest.raises(SeifertMatrixError):
         SeifertMatrix.from_rows([[1.0, 1], [0, 1]])
+
+
+def test_entries_above_the_limit_refused():
+    assert MAX_SEIFERT_ENTRY == 2 ** 62
+    assert SeifertMatrix.from_rows([[2 ** 62, 1], [0, -(2 ** 62)]]).genus == 1
+    for entry in (2 ** 62 + 1, -(2 ** 62) - 1, 10 ** 4000):
+        with pytest.raises(SeifertMatrixError, match="above the limit 4611686018427387904"):
+            SeifertMatrix.from_rows([[entry, 1], [0, -1]])
 
 
 def test_block_sum_sizes():

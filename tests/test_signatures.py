@@ -5,11 +5,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from knotconc.cyclotomic import Cyclotomic, is_prime
+from knotconc.cyclotomic import MAX_Q, Cyclotomic, is_prime
+from knotconc.ledger import load_seed_ledger
 from knotconc.seifert import SeifertMatrix, UNKNOT_MATRIX, two_strand_torus_matrix
 from knotconc.signatures import (
-    SingularFormError,
-    _det_mod,
     _eliminate,
     _hadamard_square,
     _prime,
@@ -74,11 +73,6 @@ def test_bad_arguments():
         sigma_q(TREFOIL, 6)
 
 
-def test_singular_form_reported():
-    with pytest.raises(SingularFormError):
-        _principal_minors(((0, 0), (0, 0)), 3)
-
-
 def reference_form(V, q):
     """The full matrix H(zeta), every entry built from V."""
     one, zeta = Cyclotomic.one(q), Cyclotomic.zeta_power(q, 1)
@@ -98,7 +92,7 @@ def reference_pivots(m):
             off = next(((i, j) for i, row in enumerate(m)
                         for j in range(i + 1, len(m)) if not row[j].is_zero()), None)
             if off is None:
-                raise SingularFormError("degenerate")
+                raise ArithmeticError("degenerate form")
             i, j = off
             a = m[i][j]
             abar = a.conjugate()
@@ -182,26 +176,43 @@ def test_primes_split_with_a_root_of_order_q():
         assert _prime(q, 0)[0] > _prime(q, 1)[0] > _prime(q, 2)[0]
 
 
-def test_no_plan_at_a_prime_reads_the_determinant(monkeypatch):
+def test_no_plan_at_a_prime_is_skipped(monkeypatch):
     # V_ji = V_ij / r (mod p) makes H_ji(r) vanish mod p: the circulant
     # below has every 2x2 principal determinant 0 mod the first prime but
-    # det H = H_01 H_12 H_20 != 0, so that prime makes no plan, and its
-    # determinant residues (with row swaps) prove the form nonsingular
-    dets = []
+    # det H = H_01 H_12 H_20 != 0, so that prime makes no plan and is
+    # skipped, and a later prime makes one
+    calls = []
 
-    def spied(m, p):
-        dets.append(_det_mod(m, p))
-        return dets[-1]
+    def spied(forms, p, plan):
+        made = plan is None
+        out = _eliminate(forms, p, plan)
+        calls.append((p, made, out))
+        return out
 
-    monkeypatch.setattr("knotconc.signatures._det_mod", spied)
+    monkeypatch.setattr("knotconc.signatures._eliminate", spied)
     q = 3
     p, r = _prime(q, 0)
     s = pow(r, -1, p)
     V = SimpleNamespace(rows=((0, 1, s), (s, 0, 1), (1, s, 0)))
     minors = _principal_minors(V.rows, q)
-    assert dets and all(dets)
+    assert calls[0] == (p, True, None)
+    assert any(made and out is not None for _, made, out in calls[1:])
     signs = [1] + [d.sign(1) for d in minors]
     assert sum(a * b for a, b in zip(signs, signs[1:])) == reference_signatures(V, q)[0]
+
+
+def test_forms_at_prime_order_roots_are_nondegenerate():
+    # det(V - V^T) = +/-1 keeps Phi_q from dividing the Alexander
+    # polynomial, so the last minor det H(zeta) is never 0 and the lift,
+    # which skips each prime that makes no plan, ends
+    rng = random.Random(43)
+    seed = [a.seifert for a in load_seed_ledger().atoms.values() if a.seifert is not None]
+    assert len(seed) == 12 and seed[0] == UNKNOT_MATRIX  # no minors to check
+    cases = seed[1:]
+    cases += [random_seifert(rng, 1 + i % 3, zero_diagonal=i % 2 == 0) for i in range(6)]
+    for q in filter(is_prime, range(MAX_Q + 1)):
+        for V in cases:
+            assert not _principal_minors(V.rows, q)[-1].is_zero(), (V.rows, q)
 
 
 def test_zero_diagonal_reaches_frobenius_block():
