@@ -135,14 +135,12 @@ def _cmd_sig(args) -> int:
     else:
         from .ledger import LedgerError
         ledger = _load(args)
-        atom = ledger.atoms.get(args.knot)
-        if atom is None:
-            raise LedgerError(f"unknown knot atom {args.knot!r}")
-        if atom.seifert is None:
+        ledger.require_atoms(((args.knot, False),))
+        V = ledger.atoms[args.knot]
+        if V is None:
             raise LedgerError(
                 f"atom {args.knot!r} has no Seifert matrix in the ledger"
             )
-        V = atom.seifert
         label = args.knot
     per_j = dict(enumerate(lt_signatures(V, q), start=1))
     total = sum(per_j.values())

@@ -18,6 +18,11 @@ The genus bounds: for a genus-g surface bounding K in class a,
 
 with a = 0 these collapse to g_H(K, X) >= theta^(q)(K).
 
+The hypotheses make m an integer.  For odd q, q | a gives a = q b and
+a^2 = q^2 b^2, so m = -((q^2-1) q / 6) b^2; and 6 divides (q^2-1) q, which
+is 24 for q = 3, while every prime q >= 5 has 24 | q^2 - 1.  For q = 2,
+a = 2x gives a^2 = 4 x^2 and m = -x^2 + eta(x).
+
 A positive definite X is handled by mirroring: bound the genus in -X via
 theta applied to -K; there is no separate code path.
 """
@@ -121,12 +126,8 @@ def genus_bound_odd_q(
             f"theorem hypotheses not met: class {a.coords} is not divisible by {q}"
         )
     a_sq = a.square
-    m = Fraction(-(q * q - 1) * a_sq, 6 * q)
-    if m.denominator != 1:
-        raise HypothesisError(
-            f"theorem hypotheses not met: m = {m} is not an integer (a^2 = {a_sq})"
-        )
-    return _genus_bound(ledger, expr, q, int(m), a_sq, Fraction((q + 1) * a_sq, 6 * q))
+    m = -(q * q - 1) * a_sq // (6 * q)  # exact: see the module docstring
+    return _genus_bound(ledger, expr, q, m, a_sq, Fraction((q + 1) * a_sq, 6 * q))
 
 
 def genus_bound_q2(ledger: Ledger, expr: Key, a: HomologyClass) -> GenusBound:
@@ -138,10 +139,8 @@ def genus_bound_q2(ledger: Ledger, expr: Key, a: HomologyClass) -> GenusBound:
         )
     x = a.divide(2)
     a_sq = a.square
-    m = -Fraction(a_sq, 4) + eta(x)
-    if m.denominator != 1:
-        raise HypothesisError(f"theorem hypotheses not met: m = {m} is not an integer")
-    return _genus_bound(ledger, expr, 2, int(m), a_sq, Fraction(a_sq, 4))
+    m = -x.square + eta(x)  # a^2 = 4 x^2
+    return _genus_bound(ledger, expr, 2, m, a_sq, Fraction(a_sq, 4))
 
 
 @dataclass(frozen=True)

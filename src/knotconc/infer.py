@@ -116,11 +116,12 @@ class InferenceEngine:
     ``_lo[n]``, ``_hi[n]`` in lattice steps (``_hi[n]`` is None while no
     upper bound is known).  R2 instance ``i`` is the split
     ``_r2[3i] = _r2[3i+1] + _r2[3i+2]``; node n's splits are the instances
-    from ``_split_start[n]`` to ``_split_start[n+1]``, and the instances
-    with n as a part are ``_part_of[_part_start[n]:_part_start[n+1]]``.  R3
-    instance ``r`` is the relation ``_r3[2r] -> _r3[2r+1]``; ``_r3_of[n]``
-    lists those at n.  Worklist items number the R2 instances, then the R3
-    instances, then the nodes (R6).
+    from ``_split_start[n]`` to ``_split_start[n+1]``, and ``_part_of[n]``
+    is an ``array("i")`` of the instances with n as a part, in instance
+    order (twice where both parts are n).  R3 instance ``r`` is the relation
+    ``_r3[2r] -> _r3[2r+1]``; ``_r3_of[n]`` lists those at n.  Worklist
+    items number the R2 instances, then the R3 instances, then the nodes
+    (R6).
     """
 
     def __init__(self, ledger: Ledger, q: int, rule_seed: Optional[int] = None):
@@ -129,7 +130,6 @@ class InferenceEngine:
         self.q = q
         self.rule_seed = rule_seed
         self.ledger_bounds = LedgerBounds(ledger, q)
-        self.provenance = self.ledger_bounds.provenance
         self.nodes: dict[Key, int] = {}
         self.relations: set[tuple[int, int]] = set()
         self.trace: list[str] = []
@@ -143,8 +143,7 @@ class InferenceEngine:
         self._u: list[Optional[int]] = []
         self._r2 = array("i")
         self._split_start = array("i")
-        self._part_start = array("i")
-        self._part_of = array("i")
+        self._part_of: list[array] = []
         self._r3 = array("i")
         self._r3_of: dict[int, list[int]] = {}
         self._n23 = 0
@@ -160,6 +159,7 @@ class InferenceEngine:
             self.nodes[key] = n
             self._keys.append(key)
             self._mirror.append(-1)
+            self._part_of.append(array("i"))
         return n
 
     # -- bounds ----------------------------------------------------------------
@@ -212,11 +212,10 @@ class InferenceEngine:
         """Queue the instances that read the bound of node n that changed."""
         queued, work = self._queued, self._work
         m = self._mirror[n]
-        start, part_of = self._part_start, self._part_of
         readers = [range(self._split_start[n], self._split_start[n + 1]),
-                   part_of[start[n]:start[n + 1]], self._r3_of.get(n, ())]
+                   self._part_of[n], self._r3_of.get(n, ())]
         if upper:  # R2 reads the upper bounds of its parts' mirrors
-            readers.append(part_of[start[m]:start[m + 1]])
+            readers.append(self._part_of[m])
         elif self._u[m] is not None:
             readers.append((self._n23 + m,))  # R6 at the mirror
         for items in readers:
@@ -285,7 +284,10 @@ class InferenceEngine:
         self._split_start.append(len(self._r2) // 3)
         for part_a, part_b in _binary_splits(key):
             a, b = self.node(part_a), self.node(part_b)
+            i = len(self._r2) // 3
             self._r2.extend((n, a, b))
+            self._part_of[a].append(i)
+            self._part_of[b].append(i)
         for other, forward in ends.get(key, ()):
             m = self.node(other)
             self.relations.add((n, m) if forward else (m, n))
@@ -314,18 +316,6 @@ class InferenceEngine:
             n += 1
         n_nodes, n2 = len(self._keys), len(self._r2) // 3
         self._split_start.append(n2)
-        # group the R2 instances by their parts
-        first, second = self._r2[1::3], self._r2[2::3]
-        counts = Counter(first)
-        counts.update(second)
-        fill = list(itertools.accumulate((counts[n] for n in range(n_nodes)), initial=0))
-        self._part_start = array("i", fill)
-        part_of = self._part_of = array("i", bytes(4 * 2 * n2))
-        for i, (a, b) in enumerate(zip(first, second)):
-            part_of[fill[a]] = i
-            fill[a] += 1
-            part_of[fill[b]] = i
-            fill[b] += 1
         for r, (plus, minus) in enumerate(sorted(self.relations), start=n2):
             self._r3.extend((plus, minus))
             self._r3_of.setdefault(plus, []).append(r)
@@ -397,7 +387,7 @@ class InferenceEngine:
         return BoundInterval(lower=Fraction(self._lo[n], step),
                              upper=None if hi is None else Fraction(hi, step),
                              justification=list(self.trace),
-                             provenance=dict(sorted(self.provenance.items())))
+                             provenance=dict(sorted(self.ledger_bounds.provenance.items())))
 
 
 def _check_universe_size(query: Key) -> None:

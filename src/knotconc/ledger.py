@@ -84,12 +84,6 @@ FactValue = Union[int, bool, DeltaSequence]
 
 
 @dataclass(frozen=True)
-class KnotAtom:
-    name: str
-    seifert: Optional[SeifertMatrix] = None
-
-
-@dataclass(frozen=True)
 class Fact:
     knot: str
     kind: str
@@ -116,7 +110,8 @@ class Fact:
 
 @dataclass
 class Ledger:
-    atoms: dict[str, KnotAtom]
+    # atom name -> its Seifert matrix, or None for an atom ingested without one
+    atoms: dict[str, Optional[SeifertMatrix]]
     facts: dict[tuple, Fact] = field(default_factory=dict)
     # (K+, K-): changing a positive crossing of K+ to negative gives K-
     relations: tuple[tuple[Key, Key], ...] = ()
@@ -151,9 +146,9 @@ class Ledger:
             f = self.fact(name, k, mirror=not mirror, q=kq)
             if f is not None and f.mirror_value() is not None:
                 return f.mirror_value(), [f]
-        atom = self.atoms.get(name)
-        if kind == "sigma_q" and atom is not None and atom.seifert is not None:
-            value = _sigma_q_of_matrix(atom.seifert, q)
+        matrix = self.atoms.get(name)
+        if kind == "sigma_q" and matrix is not None:
+            value = _sigma_q_of_matrix(matrix, q)
             return (-value if mirror else value), []
         return None, []
 
@@ -203,7 +198,7 @@ def _is_knot_name(name: str) -> bool:
         return False
 
 
-def _fact_from_json(obj: dict, atoms: dict[str, KnotAtom]) -> Fact:
+def _fact_from_json(obj: dict, atoms: dict[str, Optional[SeifertMatrix]]) -> Fact:
     if not isinstance(obj, dict):
         raise LedgerError(f"fact must be an object, got {obj!r}")
     try:
@@ -288,13 +283,13 @@ def _check_signature_facts_against_matrices(ledger: Ledger) -> None:
     for f in ledger.facts.values():
         if f.kind not in ("sigma", "sigma_q", "lt_signature"):
             continue
-        atom = ledger.atoms.get(f.knot)
-        if atom is None or atom.seifert is None:
+        matrix = ledger.atoms.get(f.knot)
+        if matrix is None:
             continue
         if f.kind == "sigma_q":
-            computed = _sigma_q_of_matrix(atom.seifert, f.q)
+            computed = _sigma_q_of_matrix(matrix, f.q)
         else:  # sigma is sigma_K(-1), the one Levine-Tristram value at q = 2
-            computed = signatures.lt_signature(atom.seifert, f.q or 2, f.j or 1)
+            computed = signatures.lt_signature(matrix, f.q or 2, f.j or 1)
         # every Levine-Tristram signature changes sign under mirroring
         if f.mirror:
             computed = -computed
@@ -315,8 +310,7 @@ def _check_cross_facts(ledger: Ledger) -> None:
         if sigq is None:
             continue
         seq: DeltaSequence = f.value
-        for jdx in range(seq.prefix_len() + 1):
-            v = seq.value_at(jdx)
+        for jdx, v in enumerate((*seq.values, seq.stable)):
             if (Fraction(v, 4) + Fraction(sigq, 8)).denominator != 1:
                 raise LedgerError(
                     f"{f.describe()}: delta_{jdx} = {v} is not congruent to "
@@ -349,7 +343,7 @@ def _check_relations(ledger: Ledger) -> None:
 def ledger_from_json(data: dict) -> Ledger:
     if not isinstance(data, dict):
         raise LedgerError("ledger file must contain a JSON object")
-    atoms: dict[str, KnotAtom] = {}
+    atoms: dict[str, Optional[SeifertMatrix]] = {}
     for obj in _list_field(data, "atoms"):
         if isinstance(obj, str):
             obj = {"name": obj}
@@ -362,13 +356,12 @@ def ledger_from_json(data: dict) -> Ledger:
             raise LedgerError(f"duplicate atom name {name!r}")
         if not _is_knot_name(name):
             raise LedgerError(f"atom name {name!r} is not a single knot name")
-        seifert = None
+        atoms[name] = None
         if obj.get("seifert") is not None:
             try:
-                seifert = SeifertMatrix.from_rows(obj["seifert"])
+                atoms[name] = SeifertMatrix.from_rows(obj["seifert"])
             except ValueError as e:
                 raise LedgerError(f"atom {name!r}: {e}") from None
-        atoms[name] = KnotAtom(name=name, seifert=seifert)
 
     facts: dict[tuple, Fact] = {}
     for obj in _list_field(data, "facts"):

@@ -69,9 +69,6 @@ class DeltaSequence:
             raise SequenceError(f"delta sequence index must be >= 0, got {j}")
         return self.values[j] if j < len(self.values) else self.stable
 
-    def prefix_len(self) -> int:
-        return len(self.values)
-
     @staticmethod
     def constant(value: int) -> "DeltaSequence":
         return DeltaSequence((), value)
@@ -87,11 +84,11 @@ def xi_sequence(delta: DeltaSequence, sigq: int, q: int) -> DeltaSequence:
     check_prime(q)
     shift = Fraction(sigq, 8)
     out = []
-    for j in range(delta.prefix_len()):
-        x = Fraction(delta.value_at(j), 4) + shift
+    for j, v in enumerate(delta.values):
+        x = Fraction(v, 4) + shift
         if x.denominator != 1:
             raise InconsistentDataError(
-                f"inconsistent (delta_{j}, sigma) pair: delta_{j}={delta.value_at(j)}, "
+                f"inconsistent (delta_{j}, sigma) pair: delta_{j}={v}, "
                 f"sigma^({q})={sigq} gives non-integral xi"
             )
         out.append(int(x))
@@ -126,10 +123,10 @@ def j_value_m(delta: DeltaSequence, sigq: int, m: int) -> int:
         raise InconsistentDataError(
             f"threshold unreachable: stable value {delta.stable} > m - sigma/2 = {threshold}"
         )
-    for j in range(delta.prefix_len()):
-        if delta.value_at(j) <= threshold:
+    for j, v in enumerate(delta.values):
+        if v <= threshold:
             return j
-    return delta.prefix_len()
+    return len(delta.values)
 
 
 def theta(q: int, j_mirror: int, sigq_K: int) -> Fraction:
@@ -223,9 +220,8 @@ def sum_delta_upper(d1: DeltaSequence, d2: DeltaSequence) -> DeltaUpperBound:
     convolution stabilizes at the sum of the stable values no later than
     index len1 + len2.
     """
-    l1, l2 = d1.prefix_len(), d2.prefix_len()
     out = []
-    for k in range(l1 + l2):
+    for k in range(len(d1.values) + len(d2.values)):
         out.append(min(d1.value_at(i) + d2.value_at(k - i) for i in range(k + 1)))
     return DeltaUpperBound(tuple(out), d1.stable + d2.stable)
 

@@ -159,7 +159,7 @@ def test_criterion_4_published_t25_whitehead_pair():
             failures.append((text, "summand not exact", iv.lower, iv.upper))
         return iv.lower
 
-    sigma_K = (signature(ledger.atoms["T(2,5)"].seifert)
+    sigma_K = (signature(ledger.atoms["T(2,5)"])
                - ledger.fact("Wh(T(2,3))", "sigma").value)
     if sigma_K != -4:
         failures.append(("sigma(K)", sigma_K, -4))

@@ -43,6 +43,11 @@ def test_rejects_q1_and_bad_input():
         CoverInput(q=2, b2X=-1, sigmaX=0, genus=0, self_int=0, sigq_out=0)
 
 
+def test_b_plus_for_genus_bound_refuses_a_negative_genus():
+    with pytest.raises(CoverDataError, match=r"^genus must be non-negative, got -1$"):
+        cover_b_plus_for_genus_bound(2, -1, 0, 0)
+
+
 def test_non_integer_and_negative_outputs_rejected():
     # sigma(W) picks up (q^2-1)/(3q) * self_int = 8/9 here
     with pytest.raises(CoverDataError):

@@ -162,6 +162,24 @@ def test_unknown_atom_exit_2(capsys):
     assert code == 2 and "unknown knot atom" in err
 
 
+README_RELATION_QUERY = ("T(2,3) + -T(2,5) + T(3,7) + -9_42 + Wh(T(2,3)) + -T(2,7) + "
+                         "T(2,11) + -8_19 + T(3,5) + -T(2,13)")
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    # the README "Limits" query: relation partners push the universe past
+    # the limit while it is built, after the size check let it through
+    (["infer", "--expr", README_RELATION_QUERY], 2,
+     "error: inference universe grew past 4000 nodes"),
+    (["theta", "--expr", "(T(2,3)"], 1, "usage error: expected ')' in '(T(2,3)'"),
+    (["sig", "--knot", "NOPE"], 2, "error: unknown knot atom 'NOPE'"),
+    (["genus-bound", "--expr", "T(3,7)", "--rank", "3", "--class", "3,0,0", "--q", "3",
+      "--compare"], 1, "usage error: --compare needs an even class a = 2x"),
+], ids=["universe-grew-past-limit", "unclosed-paren", "sig-unknown-atom", "compare-odd-class"])
+def test_error_exits_with_one_line(argv, code, line, capsys):
+    assert run(capsys, *argv) == (code, "", line + "\n")
+
+
 def test_reproduce_list_and_sections(capsys):
     code, out, _ = run(capsys, "reproduce", "--list")
     assert code == 0 and "theta-torus-pipeline" in out

@@ -254,6 +254,13 @@ def test_constructor_refuses(args):
         Cyclotomic(*args)
 
 
+def test_repr_lists_the_nonzero_power_basis_terms():
+    assert repr(Cyclotomic(5, [1, 0, -2, 3])) == "1 + -2*z^2 + 3*z^3"
+    assert repr(Cyclotomic(5, [1, 0, -2, 3], 2)) == "1/2 + -1*z^2 + 3/2*z^3"
+    assert repr(Cyclotomic(3, [0, 4], 6)) == "2/3*z^1"
+    assert repr(Cyclotomic.zero(5)) == "0"
+
+
 def test_constructor_stores_the_normalized_element():
     q = 5
     z = Cyclotomic.zeta_power

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from knotconc.infer import InferenceEngine, LedgerInconsistentError, infer_theta, infer_theta_m
+from knotconc.infer import (BoundInterval, InferenceEngine, LedgerInconsistentError, infer_theta,
+                            infer_theta_m)
 from knotconc.knots import parse_expression, signed_atoms
 from knotconc.ledger import ledger_from_json, load_seed_ledger, seed_ledger_text
 
@@ -150,6 +151,31 @@ def test_inconsistent_ledger_reports_rules():
         infer(L, "K")
     msg = str(exc.value)
     assert "R1" in msg  # names the clashing rules
+
+
+def test_inconsistency_message_does_not_depend_on_which_bound_is_second():
+    # sigma = -2 gives theta >= 1 and g4 = 0 gives theta <= 0; the rule
+    # order decides whether set_lower or set_upper finds the clash
+    L = ledger_from_json({"atoms": [{"name": "K"}], "facts": [
+        {"knot": "K", "kind": "sigma", "value": -2, "provenance": "t"},
+        {"knot": "K", "kind": "g4", "value": 0, "provenance": "t"}]})
+    raised_in = set()
+    for seed in range(8):
+        with pytest.raises(LedgerInconsistentError) as exc:
+            infer(L, "K", rule_seed=seed)
+        assert str(exc.value) == (
+            "ledger inconsistent at K: lower bound 1 (R1 signature lower bound, "
+            "sigma^(2) = -2) exceeds upper bound 0 (R1 slice genus upper bound, g4 <= 0)")
+        raised_in.add(exc.traceback[-1].name)
+    assert raised_in == {"set_lower", "set_upper"}
+
+
+def test_library_errors():
+    with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
+        infer_theta_m(load_seed_ledger(), parse_expression("T(2,3)"), 2, -1)
+    for upper in (Fraction(1), None):
+        with pytest.raises(ValueError, match=r"is not a point$"):
+            BoundInterval(lower=Fraction(0), upper=upper).value
 
 
 def test_no_facts_means_unbounded_above():

@@ -96,6 +96,20 @@ def test_atom_name_outside_the_grammar_rejected(name, tmp_path, capsys):
     assert out == "" and err == f"error: atom name {name!r} is not a single knot name\n"
 
 
+@pytest.mark.parametrize("fact, message", [
+    (5, "fact must be an object, got 5"),
+    ({"knot": "K", "kind": "g4", "value": 1, "j": 1}, "fact g4(K) does not take j"),
+    ({"knot": "K", "kind": "slice", "value": 1}, "fact slice(K) must be a boolean"),
+    ({"knot": "K", "kind": "lt_signature", "q": 3, "j": 1, "value": -1},
+     "lt_signature(K, q=3): signature values must be even, got -1"),
+    ({"knot": "K", "kind": "g4", "value": -1}, "g4(K): must be >= 0, got -1"),
+], ids=["not-an-object", "j-on-g4", "flag-not-boolean", "odd-lt-signature", "negative-g4"])
+def test_malformed_fact_rejected(fact, message):
+    with pytest.raises(LedgerError) as exc:
+        ledger_from_json(minimal([fact]))
+    assert str(exc.value) == message
+
+
 def test_duplicate_fact_rejected():
     f = {"knot": "K", "kind": "g4", "value": 1, "provenance": "t"}
     with pytest.raises(LedgerError, match="duplicate fact"):
@@ -179,7 +193,7 @@ def test_seifert_matrix_above_the_size_limit_rejected():
     for rows in ([[0] * 32] * 32, [["x"] * 32] * 32, [[0] * 31]):
         with pytest.raises(LedgerError, match="size (32|31) is above the limit 30"):
             ledger_from_json(minimal(atoms=[{"name": "K", "seifert": rows}]))
-    assert load_seed_ledger().atoms["T(2,31)"].seifert.size == 30
+    assert load_seed_ledger().atoms["T(2,31)"].size == 30
 
 
 def test_relation_with_unknown_atom_rejected():

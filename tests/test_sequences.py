@@ -138,6 +138,25 @@ def test_theta_m_matches_closed_forms():
             assert tp == max(4 * n, 6 * n - 2 * (m // 4))
 
 
+def test_xi_sequence_rejects_an_incongruent_listed_term():
+    with pytest.raises(InconsistentDataError) as exc:
+        xi_sequence(DeltaSequence((4, 2), 0), 0, 2)
+    assert str(exc.value) == ("inconsistent (delta_1, sigma) pair: delta_1=2, "
+                              "sigma^(2)=0 gives non-integral xi")
+
+
+def test_j_value_m_and_theta_reject_bad_arguments():
+    d = DeltaSequence((), 0)
+    with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
+        j_value_m(d, 0, -1)
+    with pytest.raises(InconsistentDataError, match=r"^sigma\^\(q\) must be even, got 1$"):
+        j_value_m(d, 1, 0)
+    with pytest.raises(ValueError, match=r"^j value must be >= 0, got -1$"):
+        theta(2, -1, 0)
+    with pytest.raises(InconsistentDataError, match=r"^sigma\^\(q\) must be even, got 1$"):
+        theta(2, 0, 1)
+
+
 def test_xi_invariants_random():
     """For any (delta, sigma) pair of one knot: xi is integer-valued,
     non-increasing, non-negative, and stabilizes at 0."""
@@ -146,13 +165,13 @@ def test_xi_invariants_random():
         q = rng.choice((2, 3, 5))
         d, sig = random_consistent_pair(rng, q)
         xs = xi_sequence(d, sig, q)
-        span = d.prefix_len() + 2
+        span = len(d.values) + 2
         vals = [xs.value_at(j) for j in range(span)]
         assert all(isinstance(v, int) for v in vals)
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert all(v >= 0 for v in vals)
         assert xs.stable == 0
-        assert j_value(xs) <= d.prefix_len()
+        assert j_value(xs) <= len(d.values)
 
 
 def test_theta_m_at_zero_equals_theta_random():
@@ -265,7 +284,7 @@ def test_sum_delta_upper_unit():
     for _ in range(1000):
         d, _ = random_consistent_pair(rng)
         out = sum_delta_upper(d, unit)
-        assert all(out.value_at(j) == d.value_at(j) for j in range(d.prefix_len() + 3))
+        assert all(out.value_at(j) == d.value_at(j) for j in range(len(d.values) + 3))
         assert out.stable == d.stable
 
 
@@ -276,11 +295,11 @@ def test_sum_delta_upper_algebra_random():
         b, _ = random_consistent_pair(rng)
         c, _ = random_consistent_pair(rng)
         ab, ba = sum_delta_upper(a, b), sum_delta_upper(b, a)
-        span = ab.prefix_len() + 2
+        span = len(ab.values) + 2
         assert all(ab.value_at(j) == ba.value_at(j) for j in range(span))
         lhs = sum_delta_upper(ab, c)
         rhs = sum_delta_upper(a, sum_delta_upper(b, c))
-        span = lhs.prefix_len() + rhs.prefix_len() + 2
+        span = len(lhs.values) + len(rhs.values) + 2
         assert all(lhs.value_at(j) == rhs.value_at(j) for j in range(span))
         assert lhs.stable == rhs.stable == a.stable + b.stable + c.stable
 
@@ -294,7 +313,7 @@ def test_sum_delta_upper_monotone_random():
         bump = 4 * rng.randint(1, 2)
         a2 = DeltaSequence(tuple(v + bump for v in a.values), a.stable + bump)
         lo, hi = sum_delta_upper(a, b), sum_delta_upper(a2, b)
-        span = max(lo.prefix_len(), hi.prefix_len()) + 2
+        span = max(len(lo.values), len(hi.values)) + 2
         assert all(lo.value_at(j) <= hi.value_at(j) for j in range(span))
 
 

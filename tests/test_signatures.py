@@ -176,6 +176,26 @@ def test_primes_split_with_a_root_of_order_q():
         assert _prime(q, 0)[0] > _prime(q, 1)[0] > _prime(q, 2)[0]
 
 
+def test_block_pivot_vanishing_at_a_later_prime(monkeypatch):
+    # H(-1) = 2(V + V^T) = [[0, 2p], [2p, 0]] for the second prime p: the
+    # first prime plans the 2x2 block (0, 1), whose determinant -4p^2
+    # vanishes mod p, so the second prime is skipped and the lift goes on
+    calls = []
+
+    def spied(forms, p, plan):
+        out = _eliminate(forms, p, plan)
+        calls.append((p, out))
+        return out
+
+    monkeypatch.setattr("knotconc.signatures._eliminate", spied)
+    p = _prime(2, 1)[0]
+    V = SeifertMatrix.from_rows([[0, (p + 1) // 2], [(p - 1) // 2, 0]])
+    assert lt_signatures(V, 2) == reference_signatures(V, 2)
+    assert calls[0][0] == _prime(2, 0)[0] and calls[0][1][0] == [(0, 1)]
+    assert calls[1] == (p, None)
+    assert len(calls) > 2 and all(out is not None for _, out in calls[2:])
+
+
 def test_no_plan_at_a_prime_is_skipped(monkeypatch):
     # V_ji = V_ij / r (mod p) makes H_ji(r) vanish mod p: the circulant
     # below has every 2x2 principal determinant 0 mod the first prime but
@@ -206,7 +226,7 @@ def test_forms_at_prime_order_roots_are_nondegenerate():
     # polynomial, so the last minor det H(zeta) is never 0 and the lift,
     # which skips each prime that makes no plan, ends
     rng = random.Random(43)
-    seed = [a.seifert for a in load_seed_ledger().atoms.values() if a.seifert is not None]
+    seed = [V for V in load_seed_ledger().atoms.values() if V is not None]
     assert len(seed) == 12 and seed[0] == UNKNOT_MATRIX  # no minors to check
     cases = seed[1:]
     cases += [random_seifert(rng, 1 + i % 3, zero_diagonal=i % 2 == 0) for i in range(6)]
