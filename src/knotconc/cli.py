@@ -65,7 +65,7 @@ def _interval_json(iv: BoundInterval) -> dict:
         "lower": _frac_json(iv.lower),
         "upper": _frac_json(iv.upper),
         "exact": iv.exact,
-        "justification": iv.justification,
+        "justification": list(iv.justification),
         "provenance": iv.provenance,
     }
 
@@ -398,12 +398,12 @@ def build_parser() -> _Parser:
 
 
 def _attach_values(argv: list[str]) -> list[str]:
-    """``--expr X`` as ``--expr=X``, and so for ``--class``: argparse would
-    read a value starting with "-" (a mirror image, a negative coordinate)
-    as an option."""
+    """``--expr X`` as ``--expr=X``, and so for ``--knot`` and ``--class``:
+    argparse would read a value starting with "-" (a mirror image, a
+    negative coordinate) as an option."""
     out, rest = [], iter(argv)
     for arg in rest:
-        value = next(rest, None) if arg in ("--expr", "--class") else None
+        value = next(rest, None) if arg in ("--expr", "--knot", "--class") else None
         out.append(arg if value is None else f"{arg}={value}")
     return out
 

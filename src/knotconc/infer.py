@@ -26,10 +26,13 @@ change theta.  R1, R4, R5, R7 and R8 read only the ledger and live in
 The engine works in three steps.  It builds a finite universe of nodes: the
 reduced query and, for every node, its mirror, the two parts of each of its
 binary splits, and its partners under the ledger's crossing-change
-relations.  It applies the ledger's rules once per node.  Then it drains a
-semi-naive worklist: each R2 split instance, R3 relation instance and R6
-node is queued again only when a bound it reads changes, and never twice
-at once.
+relations.  R2 ranges over every binary split, not only those with a
+one-atom part: R3 may bound two multi-atom halves whose larger partners are
+never created, and only R2 over that split adds them
+(``tests/test_infer.py::test_r2_needs_every_binary_split``).  It applies
+the ledger's rules once per node.  Then it drains a semi-naive worklist:
+each R2 split instance, R3 relation instance and R6 node is queued again
+only when a bound it reads changes, and never twice at once.
 
 Bounds are integers counting lattice steps 1/(q-1), at least 0.  Every rule
 is monotone (tighter inputs never give looser outputs), lower bounds only
@@ -38,8 +41,10 @@ largest lower or the sum of the upper bounds the ledger gave: each bound
 takes finitely many values, so the worklist stops, and it stops at the
 least fixed point above the ledger's bounds whatever order the rules fire
 in.  So the interval does not depend on the order (``rule_seed`` shuffles
-it to test this); the derivation log lists the updates in the order they
-happened.
+it to test this); the derivation lists the updates in the order they
+happened.  The engine keeps it as one record per update and formats a
+record as a line only when the interval's ``justification`` is read, so a
+caller that prints no derivation pays for no text.
 
 Everything here consumes the ledger; nothing mutates it, so any number of
 queries may run concurrently.
@@ -52,6 +57,7 @@ import math
 import random
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -79,13 +85,16 @@ class BoundInterval:
     """Rational bounds on theta^(q), denominators dividing q-1.
 
     ``upper`` is None when no finite upper bound is known.  ``justification``
-    lists the rule applications that produced the bounds; ``provenance`` maps
-    each ledger fact consulted to its citation.
+    is a read-only sequence of lines, one per rule application that moved a
+    bound, in the order they happened; the engine keeps them as records and
+    formats a line only when it is read (``cli --json`` writes them as a
+    list).  ``provenance`` maps each ledger fact consulted to its citation.
+    Equality compares the bounds and the provenance, not the derivation.
     """
 
     lower: Fraction
     upper: Optional[Fraction]
-    justification: list[str] = field(default_factory=list)
+    justification: Sequence[str] = field(default=(), compare=False)
     provenance: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -107,6 +116,28 @@ class BoundInterval:
 
 def _key_str(key: Key) -> str:
     return expr_to_string(key) or "unknot"
+
+
+def _rule_text(keys: list[Key], why: str, parts: tuple[int, ...]) -> str:
+    # the names in a list, not a generator: see _binary_splits
+    return why.format(*[_key_str(keys[p]) for p in parts]) if parts else why
+
+
+class _Derivation(Sequence):
+    """An engine's bound updates, each formatted as a line only when read."""
+
+    def __init__(self, records: list, keys: list[Key], step: int):
+        self._records, self._keys, self._step = records, keys, step
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        n, relation, steps, why, parts = self._records[i]
+        return (f"theta({_key_str(self._keys[n])}) {relation} "
+                f"{Fraction(steps, self._step)}  [{_rule_text(self._keys, why, parts)}]")
 
 
 class InferenceEngine:
@@ -132,14 +163,11 @@ class InferenceEngine:
         self.ledger_bounds = LedgerBounds(ledger, q)
         self.nodes: dict[Key, int] = {}
         self.relations: set[tuple[int, int]] = set()
-        self.trace: list[str] = []
+        self.trace: list[tuple[int, str, int, str, tuple[int, ...]]] = []
         self._keys: list[Key] = []
         self._mirror = array("i")
         self._lo: list[int] = []
         self._hi: list[Optional[int]] = []
-        # the trace line that set each bound, -1 before one did
-        self._why_lo = array("i")
-        self._why_hi = array("i")
         self._u: list[Optional[int]] = []
         self._r2 = array("i")
         self._split_start = array("i")
@@ -166,12 +194,13 @@ class InferenceEngine:
 
     def set_lower(self, n: int, steps: int, why: str, *parts: int) -> None:
         """Raise node n's lower bound to ``steps`` lattice steps if that is
-        tighter.  Only then is ``why`` formatted with the names of the nodes
-        ``parts``, logged, and every instance reading the bound queued."""
+        tighter.  Only then is the update recorded in ``trace``, with the
+        nodes ``parts`` that name ``why``'s fields, and every instance reading
+        the bound queued."""
         if steps <= self._lo[n]:
             return
         self._lo[n] = steps
-        self._why_lo[n] = self._log(n, ">=", steps, why, parts)
+        self.trace.append((n, ">=", steps, why, parts))
         self._requeue(n, False)
         if self._hi[n] is not None and steps > self._hi[n]:
             raise self._inconsistent(n)
@@ -183,24 +212,15 @@ class InferenceEngine:
         if self._hi[n] is not None and steps >= self._hi[n]:
             return
         self._hi[n] = steps
-        self._why_hi[n] = self._log(n, "<=", steps, why, parts)
+        self.trace.append((n, "<=", steps, why, parts))
         self._requeue(n, True)
         if self._lo[n] > steps:
             raise self._inconsistent(n)
 
-    def _log(self, n: int, relation: str, steps: int, why: str, parts: tuple[int, ...]) -> int:
-        """Append a line for a new bound of node n; return its index."""
-        if parts:  # a list, not a generator: see _binary_splits
-            why = why.format(*[_key_str(self._keys[p]) for p in parts])
-        self.trace.append(f"theta({_key_str(self._keys[n])}) {relation} "
-                          f"{Fraction(steps, self.q - 1)}  [{why}]")
-        return len(self.trace) - 1
-
     def _inconsistent(self, n: int) -> LedgerInconsistentError:
-        # both bounds were set (a lower bound of 0 clashes with no upper
-        # bound); each trace line ends in "  [<why>]"
-        lo, hi = (self.trace[k].split("  [", 1)[1][:-1]
-                  for k in (self._why_lo[n], self._why_hi[n]))
+        # a clash needs both bounds set, each by the last record of its side
+        lo, hi = (next(_rule_text(self._keys, *r[3:]) for r in reversed(self.trace)
+                       if r[:2] == (n, side)) for side in (">=", "<="))
         step = self.q - 1
         return LedgerInconsistentError(
             f"ledger inconsistent at {_key_str(self._keys[n])}: "
@@ -323,8 +343,6 @@ class InferenceEngine:
         self._n23 = n2 + len(self.relations)
         self._lo = [0] * n_nodes
         self._hi = [None] * n_nodes
-        self._why_lo = array("i", [-1]) * n_nodes
-        self._why_hi = array("i", [-1]) * n_nodes
         self._u = [self.ledger_bounds.u_upper(key) for key in self._keys]
         self._queued = bytearray(self._n23 + n_nodes)
 
@@ -386,7 +404,7 @@ class InferenceEngine:
         hi = self._hi[n]
         return BoundInterval(lower=Fraction(self._lo[n], step),
                              upper=None if hi is None else Fraction(hi, step),
-                             justification=list(self.trace),
+                             justification=_Derivation(self.trace, self._keys, step),
                              provenance=dict(sorted(self.ledger_bounds.provenance.items())))
 
 
@@ -476,5 +494,5 @@ def infer_theta_m(ledger: Ledger, expr: Key, q: int, m: int) -> BoundInterval:
     if upper is not None:
         just.append(f"monotone in m: theta(K, {m}) <= theta(K) <= {upper}")
     return BoundInterval(lower=lower, upper=upper,
-                         justification=just + base.justification,
+                         justification=[*just, *base.justification],
                          provenance=base.provenance)

@@ -173,9 +173,13 @@ README_RELATION_QUERY = ("T(2,3) + -T(2,5) + T(3,7) + -9_42 + Wh(T(2,3)) + -T(2,
      "error: inference universe grew past 4000 nodes"),
     (["theta", "--expr", "(T(2,3)"], 1, "usage error: expected ')' in '(T(2,3)'"),
     (["sig", "--knot", "NOPE"], 2, "error: unknown knot atom 'NOPE'"),
+    # a mirror image is never an atom, however the option is spelled
+    (["sig", "--knot", "-T(2,3)"], 2, "error: unknown knot atom '-T(2,3)'"),
+    (["sig", "--knot=-T(2,3)"], 2, "error: unknown knot atom '-T(2,3)'"),
     (["genus-bound", "--expr", "T(3,7)", "--rank", "3", "--class", "3,0,0", "--q", "3",
       "--compare"], 1, "usage error: --compare needs an even class a = 2x"),
-], ids=["universe-grew-past-limit", "unclosed-paren", "sig-unknown-atom", "compare-odd-class"])
+], ids=["universe-grew-past-limit", "unclosed-paren", "sig-unknown-atom",
+        "sig-mirror-atom-spaced", "sig-mirror-atom-joined", "compare-odd-class"])
 def test_error_exits_with_one_line(argv, code, line, capsys):
     assert run(capsys, *argv) == (code, "", line + "\n")
 
@@ -563,37 +567,59 @@ def _delta_seq(values):
     return _fact(kind="delta_seq", q=2, value={"values": values, "stable": 1})
 
 
+# each case with the stderr line of the check it must reach ("{path}" is
+# the ledger file's path)
 MALFORMED_LEDGERS = {
-    "atom-not-object": {"atoms": [123]},
-    "facts-not-list": _ledger(facts=5),
-    "seifert-not-list": _ledger(atoms=[{"name": "K", "seifert": 5}]),
-    "delta-values-not-list": _ledger(facts=[_delta_seq(3)]),
-    "q-string": _ledger(facts=[_fact(kind="sigma_q", q="3", value=-4)]),
-    "j-string": _ledger(facts=[_fact(kind="lt_signature", q=3, j="1", value=-2)]),
-    "relation-plus-int": _ledger(relations=[{"plus": 5, "minus": "K"}]),
-    "knot-list": _ledger(facts=[_fact(knot=["K"])]),
-    "delta-values-string": _ledger(facts=[_delta_seq(["x"])]),
-    "delta-increasing": _ledger(facts=[_delta_seq([1, 5])]),
-    "q-above-limit": _ledger(facts=[_fact(kind="sigma_q", q=1009, value=-4)]),
-    "q-huge-prime": _ledger(facts=[_fact(kind="sigma_q", q=2 ** 89 - 1, value=-4)]),
-    "seifert-32x32": _ledger(atoms=[{"name": "K", "seifert": [[0] * 32] * 32}]),
-    "seifert-entry-above-limit": _ledger(atoms=[
-        {"name": "K", "seifert": [[2 ** 62 + 1, 1], [0, -1]]}]),
-    "mirror-sigma-disagrees": _ledger(atoms=[{"name": "K"}], facts=[
-        _fact(kind="sigma", value=-2), _fact(knot="-K", kind="sigma", value=-2)]),
-    "mirror-g4-disagrees": _ledger(atoms=[{"name": "K"}], facts=[
-        _fact(value=1), _fact(knot="-K", value=3)]),
-    "not-utf8": b'{"atoms": ["\xff\xfe"]}',
-    "nested-too-deep": b"[" * 100_000,
+    "atom-not-object": ({"atoms": [123]}, "atom must be a name or an object, got 123"),
+    "facts-not-list": (_ledger(facts=5), "ledger field 'facts' must be a list, got 5"),
+    "seifert-not-list": (_ledger(atoms=[{"name": "K", "seifert": 5}]),
+                         "atom 'K': Seifert matrix must be a list of rows"),
+    "delta-values-not-list": (
+        _ledger(facts=[_delta_seq(3)]),
+        "delta_seq(K) value must be {'values': [...], 'stable': n} with integer entries"),
+    "q-string": (_ledger(facts=[_fact(kind="sigma_q", q="3", value=-4)]),
+                 "fact sigma_q(K) needs a prime q <= 97, got '3'"),
+    "j-string": (_ledger(facts=[_fact(kind="lt_signature", q=3, j="1", value=-2)]),
+                 "lt_signature(K) needs 1 <= j <= q-1, got '1'"),
+    "relation-plus-int": (
+        _ledger(relations=[{"plus": 5, "minus": "K"}]),
+        "bad crossing relation {'plus': 5, 'minus': 'K'}: 'plus' and 'minus' must be expressions"),
+    "knot-list": (_ledger(facts=[_fact(knot=["K"])]),
+                  "fact knot must be an atom name, got ['K']"),
+    "delta-values-string": (
+        _ledger(facts=[_delta_seq(["x"])]),
+        "delta_seq(K) value must be {'values': [...], 'stable': n} with integer entries"),
+    "delta-increasing": (_ledger(facts=[_delta_seq([1, 5])]),
+                         "delta_seq(K): delta sequence must be non-increasing: (1, 5)"),
+    "q-above-limit": (_ledger(facts=[_fact(kind="sigma_q", q=1009, value=-4)]),
+                      "fact sigma_q(K) needs a prime q <= 97, got 1009"),
+    "q-huge-prime": (_ledger(facts=[_fact(kind="sigma_q", q=2 ** 89 - 1, value=-4)]),
+                     f"fact sigma_q(K) needs a prime q <= 97, got {2 ** 89 - 1}"),
+    "seifert-32x32": (_ledger(atoms=[{"name": "K", "seifert": [[0] * 32] * 32}]),
+                      "atom 'K': Seifert matrix size 32 is above the limit 30"),
+    "seifert-entry-above-limit": (
+        _ledger(atoms=[{"name": "K", "seifert": [[2 ** 62 + 1, 1], [0, -1]]}]),
+        f"atom 'K': Seifert matrix entry of 63 bits is above the limit {2 ** 62}"),
+    "mirror-sigma-disagrees": (
+        _ledger(atoms=[{"name": "K"}], facts=[
+            _fact(kind="sigma", value=-2), _fact(knot="-K", kind="sigma", value=-2)]),
+        "sigma(K) = -2 and sigma(-K) = -2 disagree under mirroring"),
+    "mirror-g4-disagrees": (
+        _ledger(atoms=[{"name": "K"}], facts=[_fact(value=1), _fact(knot="-K", value=3)]),
+        "g4(K) = 1 and g4(-K) = 3 disagree under mirroring"),
+    "not-utf8": (b'{"atoms": ["\xff\xfe"]}',
+                 "{path}: 'utf-8' codec can't decode byte 0xff in position 12: "
+                 "invalid start byte"),
+    "nested-too-deep": (b"[" * 100_000,
+                        "{path}: maximum recursion depth exceeded while decoding a "
+                        "JSON array from a unicode string"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_LEDGERS))
 def test_malformed_ledger_exit_2(case, tmp_path, capsys):
-    data = MALFORMED_LEDGERS[case]
+    data, line = MALFORMED_LEDGERS[case]
     path = tmp_path / "ledger.json"
     path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     code, out, err = run(capsys, "theta", "--expr", "K", "--ledger", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert (code, out, err) == (2, "", f"error: {line.replace('{path}', str(path))}\n")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import knotconc.infer as infer_module
 from knotconc.infer import (BoundInterval, InferenceEngine, LedgerInconsistentError, infer_theta,
                             infer_theta_m)
 from knotconc.knots import parse_expression, signed_atoms
@@ -121,6 +122,28 @@ def test_subadditivity_over_equal_halves():
     assert infer(L, "K").value == 1
     assert infer(L, "K + K").value == 2
     assert infer(L, "K + K + K + K").value == 4
+
+
+def test_r2_needs_every_binary_split(monkeypatch):
+    """R3 bounds x1 + x2 and y1 + y2 by 1 each through their slice partners,
+    and only R2 over the split (x1 + x2) | (y1 + y2) adds them: with one-atom
+    splits only, the partner z1 + z2 + z3 + y1 + y2, larger than the query,
+    is never created, so R3 never lifts into the sum."""
+    atoms = ["x1", "x2", "y1", "y2", "z1", "z2", "z3", "w1", "w2", "w3"]
+    L = ledger_from_json({
+        "atoms": [{"name": a} for a in atoms],
+        "facts": [{"knot": a, "kind": "g4", "value": 5 if a[0] in "xy" else 0,
+                   "provenance": "t"} for a in atoms],
+        "relations": [{"plus": "x1 + x2", "minus": "z1 + z2 + z3"},
+                      {"plus": "y1 + y2", "minus": "w1 + w2 + w3"}]})
+    query = "x1 + x2 + y1 + y2"
+    full = infer(L, query)
+    assert (full.lower, full.upper) == (0, 2)
+    every_split = infer_module._binary_splits
+    monkeypatch.setattr(infer_module, "_binary_splits", lambda key: [
+        (a, b) for a, b in every_split(key) if 1 in (len(a), len(b))])
+    peeled = infer(L, query)
+    assert peeled.lower == 0 and peeled.upper > full.upper
 
 
 def test_universe_sizes():
