@@ -57,11 +57,6 @@ class CoverTopology:
     b_plus: int
     b_minus: int
 
-    def __post_init__(self):
-        assert self.b_plus + self.b_minus == self.b2
-        assert self.b_plus - self.b_minus == self.sigma
-        assert self.b_plus >= 0 and self.b_minus >= 0
-
 
 def cover_topology(inp: CoverInput) -> CoverTopology:
     q = inp.q

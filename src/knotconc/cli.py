@@ -6,7 +6,9 @@ inference-engine error, 3 reproduction failure.  A command whose reader
 closes stdout before the output ends (``knotconc ... | head -1``) keeps
 the exit code it decided and prints nothing to stderr.  Output is
 deterministic for fixed inputs; --json switches to a machine-readable
-report.  --q must be a prime <= MAX_Q.
+report.  A command takes only the shared flags it reads: ``reproduce``
+has no --q and ``branch-cover`` no --ledger.  ``main`` checks --q, a prime
+<= MAX_Q, before the command runs.
 Expressions nest at most knots.MAX_NESTING deep (deeper is a usage error),
 and a query whose inference universe needs more than knots.MAX_NODES nodes
 is refused with exit 2 before any rule fires (the limit is kept in ``knots``
@@ -77,13 +79,12 @@ def _load(args) -> Ledger:
     return load_ledger(args.ledger)
 
 
-def _check_q(q: int) -> int:
+def _check_q(q: int) -> None:
     # size first: the message names MAX_Q, and is_prime raises beyond its exact range
     if q > MAX_Q:
         raise _UsageError(f"--q must be at most {MAX_Q}, got {q}")
     if not is_prime(q):
         raise _UsageError(f"--q must be prime, got {q}")
-    return q
 
 
 def _emit(args, human_lines, json_obj) -> None:
@@ -122,7 +123,7 @@ def _interval_lines(iv: BoundInterval, verbose: bool) -> list[str]:
 def _cmd_sig(args) -> int:
     from .seifert import SeifertMatrix
     from .signatures import lt_signatures
-    q = _check_q(args.q)
+    q = args.q
     if (args.knot is None) == (args.matrix is None):
         raise _UsageError("give exactly one of --knot or --matrix")
     if args.matrix is not None:
@@ -156,7 +157,7 @@ def _cmd_sig(args) -> int:
 
 def _cmd_branch_cover(args) -> int:
     from .branched import CoverInput, cover_topology
-    q = _check_q(args.q)
+    q = args.q
     inp = CoverInput(q=q, b2X=args.b2x, sigmaX=args.sigmax, genus=args.genus,
                      self_int=args.self_int, sigq_out=args.sigq_out,
                      sigq_in=args.sigq_in)
@@ -185,7 +186,7 @@ def _parse_expr_arg(text: str):
 def _cmd_theta(args) -> int:
     """theta^(q)(K, m) for ``theta-m``; theta^(q)(K) for ``theta`` (m is None)."""
     from .infer import infer_theta, infer_theta_m
-    q = _check_q(args.q)
+    q = args.q
     if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
     ledger = _load(args)
@@ -229,7 +230,7 @@ def _torus_n_from_expr(expr: Key, text: str) -> int:
 
 def _cmd_genus_bound(args) -> int:
     from .definite import compare_bounds, genus_bound_odd_q, genus_bound_q2
-    q = _check_q(args.q)
+    q = args.q
     ledger = _load(args)
     expr = _parse_expr_arg(args.expr)
     a = _parse_class(args.cls, args.rank)
@@ -272,7 +273,7 @@ def _cmd_genus_bound(args) -> int:
 
 def _cmd_infer(args) -> int:
     from .infer import infer_theta
-    q = _check_q(args.q)
+    q = args.q
     ledger = _load(args)
     expr = _parse_expr_arg(args.expr)
     iv = infer_theta(ledger, expr, q=q)
@@ -290,18 +291,18 @@ def _cmd_infer(args) -> int:
 def _cmd_reproduce(args) -> int:
     from . import reproduce as reproduce_mod
     if args.list:
-        lines = []
-        obj = []
-        for c in reproduce_mod.checks():
-            lines.append(f"[{c.section}] {c.check_id}: {c.description}")
-            obj.append({"id": c.check_id, "section": c.section,
-                        "description": c.description})
-        _emit(args, lines, {"command": "reproduce", "checks": obj})
-        return 0
-    ledger = _load(args)
-    results = reproduce_mod.run(ledger, section=args.section)
+        results = [(c, None, None) for c in reproduce_mod.checks()
+                   if args.section in (None, c.section)]
+    else:
+        results = reproduce_mod.run(_load(args), section=args.section)
     if not results:
         raise _UsageError(f"no checks in section {args.section}")
+    if args.list:
+        lines = [f"[{c.section}] {c.check_id}: {c.description}" for c, _, _ in results]
+        obj = [{"id": c.check_id, "section": c.section, "description": c.description}
+               for c, _, _ in results]
+        _emit(args, lines, {"command": "reproduce", "checks": obj})
+        return 0
     lines = []
     obj = []
     failures = 0
@@ -331,12 +332,15 @@ def _cmd_reproduce(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="knotconc",
                      description="knot concordance bounds from branched covers")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ledger", default=None,
-                        help="path to a ledger JSON file (default: bundled seed)")
-    common.add_argument("--q", type=int, default=2,
+    # one parent per shared flag, so that each command takes only the ones it reads
+    with_ledger, with_q, with_json = (argparse.ArgumentParser(add_help=False)
+                                      for _ in range(3))
+    with_ledger.add_argument("--ledger", default=None,
+                             help="path to a ledger JSON file (default: bundled seed)")
+    with_q.add_argument("--q", type=int, default=2,
                         help=f"prime order, at most {MAX_Q} (default 2)")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    with_json.add_argument("--json", action="store_true", help="machine-readable output")
+    common = [with_ledger, with_q, with_json]
     expr_help = (f"knot expression; parentheses and mirror signs nest at most "
                  f"{MAX_NESTING} deep, and a query whose inference universe needs "
                  f"more than {MAX_NODES} nodes exits 2 (2 prod(c_i + 1) - 2 for "
@@ -346,13 +350,13 @@ def build_parser() -> _Parser:
                  f"built)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sig", parents=[common],
+    p = sub.add_parser("sig", parents=common,
                        help="exact Levine-Tristram signatures and sigma^(q)")
     p.add_argument("--knot", help="ledger atom with a Seifert matrix")
     p.add_argument("--matrix", help='inline Seifert matrix, e.g. "[[-1,1],[0,-1]]"')
     p.set_defaults(fn=_cmd_sig)
 
-    p = sub.add_parser("branch-cover", parents=[common],
+    p = sub.add_parser("branch-cover", parents=[with_q, with_json],
                        help="b2 / sigma / b+- of a cyclic branched cover")
     p.add_argument("--b2x", type=int, required=True)
     p.add_argument("--sigmax", type=int, required=True)
@@ -362,18 +366,18 @@ def build_parser() -> _Parser:
     p.add_argument("--sigq-in", type=int, default=None, dest="sigq_in")
     p.set_defaults(fn=_cmd_branch_cover)
 
-    p = sub.add_parser("theta", parents=[common], help="theta^(q) of an expression")
+    p = sub.add_parser("theta", parents=common, help="theta^(q) of an expression")
     p.add_argument("--expr", required=True, help=expr_help)
     p.add_argument("--quiet", action="store_true", help="value only, no derivation")
     p.set_defaults(fn=_cmd_theta, m=None)
 
-    p = sub.add_parser("theta-m", parents=[common], help="the m-shifted invariant")
+    p = sub.add_parser("theta-m", parents=common, help="the m-shifted invariant")
     p.add_argument("--expr", required=True, help=expr_help)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=_cmd_theta)
 
-    p = sub.add_parser("genus-bound", parents=[common],
+    p = sub.add_parser("genus-bound", parents=common,
                        help="genus lower bound in a negative definite 4-manifold")
     p.add_argument("--expr", required=True, help=expr_help)
     p.add_argument("--rank", type=int, required=True)
@@ -383,12 +387,12 @@ def build_parser() -> _Parser:
                    help="also print the four-bound comparison (T(3,6n+1) only)")
     p.set_defaults(fn=_cmd_genus_bound)
 
-    p = sub.add_parser("infer", parents=[common],
+    p = sub.add_parser("infer", parents=common,
                        help="theta bounds with the full derivation trace")
     p.add_argument("--expr", required=True, help=expr_help)
     p.set_defaults(fn=_cmd_infer)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[with_ledger, with_json],
                        help="recompute the published example values")
     p.add_argument("--section", type=int, default=None)
     p.add_argument("--list", action="store_true")
@@ -412,10 +416,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        if hasattr(args, "q"):
+            _check_q(args.q)
         return args.fn(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -4,9 +4,10 @@ Elements are stored in the power basis 1, zeta, ..., zeta^(q-2) of a fixed
 primitive q-th root of unity zeta, as an integer coefficient vector over a
 single positive common denominator (cheaper than per-coefficient
 rationals).  They are built the same way, from q - 1 integer numerators
-over one integer denominator, and every element, built or computed, is
-stored normalized: the denominator positive and coprime to the
-numerators.  Reduction uses the minimal polynomial
+over one integer denominator (a rational r is ``Cyclotomic(q,
+[r.numerator, 0, ..., 0], r.denominator)``), and every element, built or
+computed, is stored normalized: the denominator positive and coprime to
+the numerators.  Reduction uses the minimal polynomial
 
     Phi_q(x) = 1 + x + ... + x^(q-1),
 
@@ -165,21 +166,8 @@ class Cyclotomic:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(q: int) -> "Cyclotomic":
-        check_prime(q)
-        return _normalized(q, [0] * (q - 1), 1)
-
-    @staticmethod
     def one(q: int) -> "Cyclotomic":
-        return Cyclotomic.from_rational(q, 1)
-
-    @staticmethod
-    def from_rational(q: int, a) -> "Cyclotomic":
-        check_prime(q)
-        f = Fraction(a)
-        num = [0] * (q - 1)
-        num[0] = f.numerator
-        return _normalized(q, num, f.denominator)
+        return Cyclotomic(q, [1] + [0] * (q - 2))
 
     @staticmethod
     def zeta_power(q: int, k: int) -> "Cyclotomic":
@@ -201,13 +189,7 @@ class Cyclotomic:
         )
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _normalized(self.q, [a - b for a, b in zip(self.num, other.num)], d1)
-        return _normalized(
-            self.q, [a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2
-        )
+        return self + -other
 
     def __neg__(self) -> "Cyclotomic":
         return _normalized(self.q, [-a for a in self.num], self.den)
@@ -305,13 +287,13 @@ class Cyclotomic:
             return 0
         if not self.is_real():
             raise CyclotomicError("sign requested for a non-real element")
-        slack = 2 * sum(map(abs, self.num[1:]))
+        margin = 2 * sum(map(abs, self.num[1:]))
         at = _embedding_index(q, j % q)
         prec = _SIGN_START_PREC
         while prec <= _SIGN_MAX_PREC:
             cos = _cosines(q, prec)
             total = sum(a * cos[i] for a, i in zip(self.num, at) if a)
-            if abs(total) > slack:
+            if abs(total) > margin:
                 return 1 if total > 0 else -1
             prec *= 2
         raise CyclotomicError(

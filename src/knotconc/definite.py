@@ -71,23 +71,20 @@ def eta(x: HomologyClass) -> int:
     """eta(x) = min over characteristics c of -(x+c)^2 - b_2(X).
 
     Closed form: minus the number of odd coordinates of x."""
-    val = -sum(1 for c in x.coords if c % 2 != 0)
-    assert -x.rank <= val <= 0
-    return val
+    return -sum(1 for c in x.coords if c % 2 != 0)
 
 
-def eta_from_lattice_minimum(x: HomologyClass, slack: int = 3) -> int:
+def eta_from_lattice_minimum(x: HomologyClass) -> int:
     """eta(x) straight from the definition, by enumerating odd c.
 
     The objective -(x+c)^2 - b_2 = sum (x_i + c_i)^2 - r splits over
     coordinates, so the exact lattice minimum is the sum of per-coordinate
-    minima; each coordinate enumerates every odd c with |c| <= |x_i| + slack
-    (the minimizer is the odd integer nearest -x_i, so any slack >= 1 already
-    covers it).
+    minima; each coordinate enumerates every odd c with |c| <= |x_i| + 3
+    (the minimizer is the odd integer nearest -x_i, within |x_i| + 1).
     """
     total = 0
     for xi in x.coords:
-        lim = abs(xi) + slack
+        lim = abs(xi) + 3
         best = min((xi + c) ** 2 for c in range(-lim, lim + 1) if c % 2 != 0)
         total += best
     return total - x.rank

@@ -2,8 +2,9 @@
 
 A Seifert matrix here is any square integer matrix V of even size 2g with
 det(V - V^T) = +/-1; that condition singles out matrices presenting a knot
-rather than a multi-component link.  The empty 0x0 matrix presents the
-unknot.  Mirroring replaces V by -V^T and connected sum is block sum.
+rather than a multi-component link.  Its genus is ``size // 2``, and the
+empty 0x0 matrix, ``SeifertMatrix(())``, presents the unknot.  Mirroring
+replaces V by -V^T and connected sum is block sum.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ class SeifertMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    @property
-    def genus(self) -> int:
-        return self.size // 2
-
     def block_sum(self, other: "SeifertMatrix") -> "SeifertMatrix":
         """Block sum, presenting the connected sum of the two knots."""
         n, m = self.size, other.size
@@ -102,9 +99,6 @@ class SeifertMatrix:
         for i in range(m):
             rows.append((0,) * n + tuple(other.rows[i]))
         return SeifertMatrix(tuple(rows))
-
-
-UNKNOT_MATRIX = SeifertMatrix(())
 
 
 def two_strand_torus_matrix(k: int) -> SeifertMatrix:

@@ -178,8 +178,19 @@ README_RELATION_QUERY = ("T(2,3) + -T(2,5) + T(3,7) + -9_42 + Wh(T(2,3)) + -T(2,
     (["sig", "--knot=-T(2,3)"], 2, "error: unknown knot atom '-T(2,3)'"),
     (["genus-bound", "--expr", "T(3,7)", "--rank", "3", "--class", "3,0,0", "--q", "3",
       "--compare"], 1, "usage error: --compare needs an even class a = 2x"),
+    # a command takes only the shared flags it reads
+    (["reproduce", "--q", "3"], 1, "usage error: unrecognized arguments: --q 3"),
+    (["branch-cover", "--ledger", "x", "--q", "3", "--b2x", "0", "--sigmax", "0", "--genus",
+      "1", "--sigq-out", "-8", "--sigq-in", "-8"], 1,
+     "usage error: unrecognized arguments: --ledger x"),
+    # --q is checked before the command runs, whichever command it is
+    (["branch-cover", "--q", "4", "--b2x", "0", "--sigmax", "0", "--genus", "1",
+      "--sigq-out", "0"], 1, "usage error: --q must be prime, got 4"),
+    (["reproduce", "--section", "9", "--list"], 1, "usage error: no checks in section 9"),
 ], ids=["universe-grew-past-limit", "unclosed-paren", "sig-unknown-atom",
-        "sig-mirror-atom-spaced", "sig-mirror-atom-joined", "compare-odd-class"])
+        "sig-mirror-atom-spaced", "sig-mirror-atom-joined", "compare-odd-class",
+        "reproduce-no-q", "branch-cover-no-ledger", "branch-cover-q-not-prime",
+        "list-empty-section"])
 def test_error_exits_with_one_line(argv, code, line, capsys):
     assert run(capsys, *argv) == (code, "", line + "\n")
 
@@ -187,6 +198,11 @@ def test_error_exits_with_one_line(argv, code, line, capsys):
 def test_reproduce_list_and_sections(capsys):
     code, out, _ = run(capsys, "reproduce", "--list")
     assert code == 0 and "theta-torus-pipeline" in out
+    assert len(out.splitlines()) == 31
+    code, out, _ = run(capsys, "reproduce", "--section", "5", "--list")
+    assert code == 0 and "theta-torus-pipeline" in out
+    assert len(out.splitlines()) == 12
+    assert all(line.startswith("[5] ") for line in out.splitlines())
     code, out, _ = run(capsys, "reproduce", "--section", "4")
     assert code == 0
     assert "FAIL" not in out
@@ -316,6 +332,18 @@ def test_delta_seq_stable_above_half_sigma_exit_2(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err == ("error: delta_seq(-K, q=2): stabilizes at 3 != "
                        "-sigma^(2)/2 = -1\n"), args
+
+
+def test_readme_cli_examples_run(capsys):
+    # every "knotconc ..." line of the README's CLI block, run as written
+    readme = (REPO / "README.md").read_text("utf-8")
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(examples) == 10 and all(argv[0] == "knotconc" for argv in examples)
+    for _, *argv in examples:
+        code, _, err = run(capsys, *argv)
+        want = REPRODUCE_FAILURE if argv == ["reproduce"] else 0
+        assert (code, err) == (want, ""), argv
 
 
 def test_python_m_entry_point():

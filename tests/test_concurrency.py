@@ -4,7 +4,6 @@ function, so concurrent readers must agree with serial runs."""
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 from knotconc import cyclotomic, signatures
 from knotconc.cyclotomic import Cyclotomic
@@ -51,7 +50,7 @@ def test_concurrent_sigma_q_over_shared_cosine_cache():
     while len(fib) < 122:
         fib.append(fib[-1] + fib[-2])
     x = Cyclotomic.zeta_power(5, 1) + Cyclotomic.zeta_power(5, 4)
-    close = [x - Cyclotomic.from_rational(5, Fraction(fib[n], fib[n + 1]))
+    close = [x - Cyclotomic(5, [fib[n], 0, 0, 0], fib[n + 1])
              for n in range(100, 120)]
     serial = [sigma_q(V, q) for V, q in jobs] + [d.sign() for d in close]
     cyclotomic._cosines.cache_clear()

@@ -14,6 +14,11 @@ def random_element(rng, q, span=6):
     return Cyclotomic(q, [c.numerator * (den // c.denominator) for c in cs], den)
 
 
+def rational(q: int, r) -> Cyclotomic:
+    r = Fraction(r)
+    return Cyclotomic(q, [r.numerator] + [0] * (q - 2), r.denominator)
+
+
 def to_complex(a: Cyclotomic) -> complex:
     z = cmath.exp(2j * cmath.pi / a.q)
     return sum(float(c) * z ** k for k, c in enumerate(a.coeffs))
@@ -50,7 +55,7 @@ def test_basic_identities():
         for _ in range(q - 1):
             acc = acc * z
         assert acc == Cyclotomic.zeta_power(q, q - 1)
-        total = Cyclotomic.zero(q)
+        total = rational(q, 0)
         for k in range(q):
             total = total + Cyclotomic.zeta_power(q, k)
         assert total.is_zero()
@@ -74,14 +79,14 @@ def test_inverse_at_larger_q():
         one = Cyclotomic.one(q)
         elements = [random_element(rng, q) for _ in range(4)]
         elements += [Cyclotomic.zeta_power(q, 3) + one,
-                     Cyclotomic.from_rational(q, Fraction(-7, 3))]
+                     rational(q, Fraction(-7, 3))]
         for a in elements:
             inv = a.inverse()
             assert a * inv == one
             assert inv.inverse() == a
     for q in (2, 3, 11):
         with pytest.raises(ZeroDivisionError):
-            Cyclotomic.zero(q).inverse()
+            rational(q, 0).inverse()
 
 
 def test_conjugation_is_an_involution_and_ring_map():
@@ -163,7 +168,7 @@ def test_sign_escalates_precision():
     while len(fib) < 803:
         fib.append(fib[-1] + fib[-2])
     for n in (10, 60, 61, 118, 800, 801):
-        d = x - Cyclotomic.from_rational(5, Fraction(fib[n], fib[n + 1]))
+        d = x - rational(5, Fraction(fib[n], fib[n + 1]))
         assert d.sign() == (1 if n % 2 == 0 else -1)
 
 
@@ -216,7 +221,7 @@ def test_sign_rejects_non_real():
 
 
 def test_sign_of_tiny_real_rational():
-    a = Cyclotomic.from_rational(7, Fraction(1, 10 ** 30))
+    a = rational(7, Fraction(1, 10 ** 30))
     assert a.sign() == 1
     assert (-a).sign() == -1
 
@@ -230,9 +235,7 @@ def test_mixed_fields_rejected():
 
 @pytest.mark.parametrize("q", [1, 4, 9])
 def test_named_constructors_refuse_non_prime_q(q):
-    for build in (Cyclotomic.zero, Cyclotomic.one,
-                  lambda q: Cyclotomic.from_rational(q, 2),
-                  lambda q: Cyclotomic.zeta_power(q, 1)):
+    for build in (Cyclotomic.one, lambda q: Cyclotomic.zeta_power(q, 1)):
         with pytest.raises(CyclotomicError):
             build(q)
 
@@ -258,16 +261,16 @@ def test_repr_lists_the_nonzero_power_basis_terms():
     assert repr(Cyclotomic(5, [1, 0, -2, 3])) == "1 + -2*z^2 + 3*z^3"
     assert repr(Cyclotomic(5, [1, 0, -2, 3], 2)) == "1/2 + -1*z^2 + 3/2*z^3"
     assert repr(Cyclotomic(3, [0, 4], 6)) == "2/3*z^1"
-    assert repr(Cyclotomic.zero(5)) == "0"
+    assert repr(rational(5, 0)) == "0"
 
 
 def test_constructor_stores_the_normalized_element():
     q = 5
     z = Cyclotomic.zeta_power
-    want = (Cyclotomic.from_rational(q, Fraction(-1, 2)) + z(q, 1)
-            - Cyclotomic.from_rational(q, Fraction(3, 2)) * z(q, 2))
+    want = (rational(q, Fraction(-1, 2)) + z(q, 1)
+            - rational(q, Fraction(3, 2)) * z(q, 2))
     a = Cyclotomic(q, [2, -4, 6, 0], -4)
     assert a == want
     assert (a.num, a.den) == ((-1, 2, -3, 0), 2)
-    assert Cyclotomic(q, (0, 0, 0, 0), -7) == Cyclotomic.zero(q)
+    assert Cyclotomic(q, (0, 0, 0, 0), -7) == rational(q, 0)
     assert Cyclotomic(q, [-1] * 4) == z(q, 4)

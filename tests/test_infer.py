@@ -30,6 +30,12 @@ def test_9_42_whitehead_sum():
     assert iv.value == 2
     assert any("R5" in line for line in iv.justification)
     assert any("delta_MO(9_42)" in k for k in iv.provenance)
+    # the derivation is a sequence: an index or a slice gives the same lines
+    lines = list(iv.justification)
+    assert len(lines) >= 3
+    assert iv.justification[0] == lines[0]
+    assert iv.justification[-1] == lines[-1]
+    assert iv.justification[1:3] == lines[1:3]
 
 
 def test_whitehead_pair():

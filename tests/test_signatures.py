@@ -7,7 +7,7 @@ import pytest
 
 from knotconc.cyclotomic import MAX_Q, Cyclotomic, is_prime
 from knotconc.ledger import load_seed_ledger
-from knotconc.seifert import SeifertMatrix, UNKNOT_MATRIX, two_strand_torus_matrix
+from knotconc.seifert import SeifertMatrix, two_strand_torus_matrix
 from knotconc.signatures import (
     _eliminate,
     _hadamard_square,
@@ -46,8 +46,8 @@ def test_trefoil_values():
 def test_unknot_all_zero():
     for q in (2, 3, 5, 7):
         for j in range(1, q):
-            assert lt_signature(UNKNOT_MATRIX, q, j) == 0
-        assert sigma_q(UNKNOT_MATRIX, q) == 0
+            assert lt_signature(SeifertMatrix(()), q, j) == 0
+        assert sigma_q(SeifertMatrix(()), q) == 0
 
 
 def test_sigma_q_trefoil():
@@ -227,7 +227,7 @@ def test_forms_at_prime_order_roots_are_nondegenerate():
     # which skips each prime that makes no plan, ends
     rng = random.Random(43)
     seed = [V for V in load_seed_ledger().atoms.values() if V is not None]
-    assert len(seed) == 12 and seed[0] == UNKNOT_MATRIX  # no minors to check
+    assert len(seed) == 12 and seed[0] == SeifertMatrix(())  # no minors to check
     cases = seed[1:]
     cases += [random_seifert(rng, 1 + i % 3, zero_diagonal=i % 2 == 0) for i in range(6)]
     for q in filter(is_prime, range(MAX_Q + 1)):
