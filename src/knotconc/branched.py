@@ -17,11 +17,10 @@ negative b_+- means the input data cannot come from an actual cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import DataError
+from . import DataError, Record
 from .cyclotomic import is_prime
 
 
@@ -29,17 +28,12 @@ class CoverDataError(ValueError, DataError):
     pass
 
 
-@dataclass(frozen=True)
-class CoverInput:
-    q: int
-    b2X: int
-    sigmaX: int
-    genus: int
-    self_int: int
-    sigq_out: int
-    sigq_in: Optional[int] = None
+class CoverInput(Record, frozen=True):
+    __slots__ = ("q", "b2X", "sigmaX", "genus", "self_int", "sigq_out", "sigq_in")
 
-    def __post_init__(self):
+    def __init__(self, q: int, b2X: int, sigmaX: int, genus: int, self_int: int,
+                 sigq_out: int, sigq_in: Optional[int] = None):
+        self._assign(q, b2X, sigmaX, genus, self_int, sigq_out, sigq_in)
         if not is_prime(self.q):
             raise CoverDataError(f"q must be prime, got {self.q}")
         if self.b2X < 0 or self.genus < 0:
@@ -50,12 +44,11 @@ class CoverInput:
             )
 
 
-@dataclass(frozen=True)
-class CoverTopology:
-    b2: int
-    sigma: int
-    b_plus: int
-    b_minus: int
+class CoverTopology(Record, frozen=True):
+    __slots__ = ("b2", "sigma", "b_plus", "b_minus")
+
+    def __init__(self, b2: int, sigma: int, b_plus: int, b_minus: int):
+        self._assign(b2, sigma, b_plus, b_minus)
 
 
 def cover_topology(inp: CoverInput) -> CoverTopology:

@@ -290,6 +290,8 @@ def _cmd_infer(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     from . import reproduce as reproduce_mod
+    if args.list and args.ledger is not None:
+        raise _UsageError("--list reads no ledger")
     if args.list:
         results = [(c, None, None) for c in reproduce_mod.checks()
                    if args.section in (None, c.section)]

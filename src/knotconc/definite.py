@@ -29,11 +29,10 @@ theta applied to -K; there is no separate code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import DataError
+from . import DataError, Record
 from .cyclotomic import is_prime
 from .infer import BoundInterval, infer_theta_m
 from .knots import Key
@@ -44,11 +43,13 @@ class HypothesisError(ValueError, DataError):
     """The theorem hypotheses (divisibility, definiteness) are not met."""
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Record, frozen=True):
     """An integer class a = sum a_i e_i in the diag(-1,...,-1) basis."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        self._assign(coords)
 
     @property
     def rank(self) -> int:
@@ -90,14 +91,14 @@ def eta_from_lattice_minimum(x: HomologyClass) -> int:
     return total - x.rank
 
 
-@dataclass(frozen=True)
-class GenusBound:
+class GenusBound(Record, frozen=True):
     """A lower bound for g_4(K, X, a), with how theta was obtained."""
 
-    value: Fraction
-    m: int
-    a_square: int
-    theta_interval: BoundInterval
+    __slots__ = ("value", "m", "a_square", "theta_interval")
+
+    def __init__(self, value: Fraction, m: int, a_square: int,
+                 theta_interval: BoundInterval):
+        self._assign(value, m, a_square, theta_interval)
 
 
 def _genus_bound(ledger: Ledger, expr: Key, q: int, m: int, a_sq: int,
@@ -140,14 +141,14 @@ def genus_bound_q2(ledger: Ledger, expr: Key, a: HomologyClass) -> GenusBound:
     return _genus_bound(ledger, expr, 2, m, a_sq, Fraction(a_sq, 4))
 
 
-@dataclass(frozen=True)
-class BoundComparison:
+class BoundComparison(Record, frozen=True):
     """The four displayed genus bounds for T(3,6n+1) in class a = 2x."""
 
-    theta_bound: Fraction
-    tau_bound: int
-    sig1_bound: int
-    sig2_bound: int
+    __slots__ = ("theta_bound", "tau_bound", "sig1_bound", "sig2_bound")
+
+    def __init__(self, theta_bound: Fraction, tau_bound: int, sig1_bound: int,
+                 sig2_bound: int):
+        self._assign(theta_bound, tau_bound, sig1_bound, sig2_bound)
 
 
 def compare_bounds(n: int, x: Sequence[int], r: int) -> BoundComparison:

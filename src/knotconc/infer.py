@@ -32,7 +32,26 @@ never created, and only R2 over that split adds them
 (``tests/test_infer.py::test_r2_needs_every_binary_split``).  It applies
 the ledger's rules once per node.  Then it drains a semi-naive worklist:
 each R2 split instance, R3 relation instance and R6 node is queued again
-only when a bound it reads changes, and never twice at once.
+only when a bound it reads changes, and never twice at once.  R2 and R3
+call a bound setter only with a bound tighter than the current one; any
+other call would do nothing.
+
+A query Q is relation-free when no reduced ledger relation holds a signed
+atom of Q or of its mirror, and none joins the unknot to itself.  Its
+universe is then exactly the nonempty sub-multisets of Q and of -Q,
+2 (prod(c_i + 1) - 1) nodes for atom counts c_i, so the up-front
+``MAX_NODES`` check is exact for it, and its layout depends on the count
+vector alone.  A reduced key holds each name with one sign, and mirroring
+keeps the names' order, so renaming the i-th distinct atom of Q to a
+placeholder i keeps the order of every key, and with it the closure's
+numbering of nodes and instances.  The shape cache therefore closes each
+count vector's universe once, with the same closure run on placeholder
+atoms, and keeps its keys and its mirror, split and part arrays (a
+module-level LRU, ``_shapes``, of at most ``MAX_NODES`` nodes in all).  A
+query of that shape only relabels the keys and shares the arrays, which
+nothing writes after the closure, with every other engine and thread.
+The unknot and every query that a relation reaches are closed on their own
+keys.
 
 Bounds are integers counting lattice steps 1/(q-1), at least 0.  Every rule
 is monotone (tighter inputs never give looser outputs), lower bounds only
@@ -55,14 +74,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import threading
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import DataError
+from . import DataError, Record
 from .cyclotomic import check_prime
 from .knots import MAX_NODES, Key, expr_to_string, mirror_atoms
 from .ledger import Ledger
@@ -80,8 +99,7 @@ class EngineError(RuntimeError, DataError):
     pass
 
 
-@dataclass
-class BoundInterval:
+class BoundInterval(Record):
     """Rational bounds on theta^(q), denominators dividing q-1.
 
     ``upper`` is None when no finite upper bound is known.  ``justification``
@@ -92,10 +110,21 @@ class BoundInterval:
     Equality compares the bounds and the provenance, not the derivation.
     """
 
-    lower: Fraction
-    upper: Optional[Fraction]
-    justification: Sequence[str] = field(default=(), compare=False)
-    provenance: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("lower", "upper", "justification", "provenance")
+
+    def __init__(self, lower: Fraction, upper: Optional[Fraction],
+                 justification: Sequence[str] = (),
+                 provenance: Optional[dict[str, str]] = None):
+        self.lower = lower
+        self.upper = upper
+        self.justification = justification
+        self.provenance = {} if provenance is None else provenance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.lower, self.upper, self.provenance)
+                == (other.lower, other.upper, other.provenance))
 
     @property
     def exact(self) -> bool:
@@ -153,6 +182,15 @@ class InferenceEngine:
     ``_r3[2r] -> _r3[2r+1]``; ``_r3_of[n]`` lists those at n.  Worklist
     items number the R2 instances, then the R3 instances, then the nodes
     (R6).
+
+    ``_mirror``, ``_r2``, ``_split_start`` and ``_part_of`` are never
+    written once the universe is closed.  For a relation-free query (see
+    the module docstring) they come from the shape cache: the closure of
+    its atom counts on placeholder atoms, whose numbering the relabelled
+    keys keep, since relabelling keeps every key's order.  Every engine that
+    runs a query of that shape shares them; ``_keys`` and ``nodes`` are its
+    own.  Such a universe has exactly 2 (prod(c_i + 1) - 1) nodes, so the
+    up-front ``MAX_NODES`` check decides it.
     """
 
     def __init__(self, ledger: Ledger, q: int, rule_seed: Optional[int] = None):
@@ -177,18 +215,6 @@ class InferenceEngine:
         self._n23 = 0
         self._queued = bytearray()
         self._work = array("i")
-
-    def node(self, key: Key) -> int:
-        n = self.nodes.get(key)
-        if n is None:
-            if len(self.nodes) >= MAX_NODES:
-                raise EngineError(f"inference universe grew past {MAX_NODES} nodes")
-            n = len(self._keys)
-            self.nodes[key] = n
-            self._keys.append(key)
-            self._mirror.append(-1)
-            self._part_of.append(array("i"))
-        return n
 
     # -- bounds ----------------------------------------------------------------
 
@@ -247,23 +273,28 @@ class InferenceEngine:
     # -- rules that read other bounds ----------------------------------------------
 
     def rule_r2(self, i: int) -> None:
-        """R2 on split instance i: node e is the connected sum a + b."""
+        """R2 on split instance i: node e is the connected sum a + b.  Like
+        R3, it calls a setter only with a bound tighter than the current
+        one, the only call that does anything."""
         r2, lo, hi, mirror = self._r2, self._lo, self._hi, self._mirror
         e, a, b = r2[3 * i], r2[3 * i + 1], r2[3 * i + 2]
         ma, mb = mirror[a], mirror[b]
-        if hi[a] is not None and hi[b] is not None:
+        if hi[a] is not None and hi[b] is not None and (
+                hi[e] is None or hi[a] + hi[b] < hi[e]):
             self.set_upper(e, hi[a] + hi[b], "R2 subadditivity over {} | {}", a, b)
-        if hi[mb] is not None:
+        if hi[mb] is not None and lo[a] - hi[mb] > lo[e]:
             self.set_lower(e, lo[a] - hi[mb], "R2 rearranged over {} | {}", a, b)
-        if hi[ma] is not None:
+        if hi[ma] is not None and lo[b] - hi[ma] > lo[e]:
             self.set_lower(e, lo[b] - hi[ma], "R2 rearranged over {} | {}", a, b)
-        if hi[e] is not None and hi[mb] is not None:
+        if hi[e] is not None and hi[mb] is not None and (
+                hi[a] is None or hi[e] + hi[mb] < hi[a]):
             self.set_upper(a, hi[e] + hi[mb], "R2 rearranged for {}", a)
-        if hi[e] is not None and hi[ma] is not None:
+        if hi[e] is not None and hi[ma] is not None and (
+                hi[b] is None or hi[e] + hi[ma] < hi[b]):
             self.set_upper(b, hi[e] + hi[ma], "R2 rearranged for {}", b)
-        if hi[b] is not None:
+        if hi[b] is not None and lo[e] - hi[b] > lo[a]:
             self.set_lower(a, lo[e] - hi[b], "R2 rearranged for {}", a)
-        if hi[a] is not None:
+        if hi[a] is not None and lo[e] - hi[a] > lo[b]:
             self.set_lower(b, lo[e] - hi[a], "R2 rearranged for {}", b)
 
     def rule_r3(self, r: int) -> None:
@@ -271,12 +302,14 @@ class InferenceEngine:
         lo, hi, step = self._lo, self._hi, self.q - 1
         plus, minus = self._r3[2 * r], self._r3[2 * r + 1]
         why = "R3 crossing change {} -> {}"
-        if hi[plus] is not None:
+        if hi[plus] is not None and (hi[minus] is None or hi[plus] < hi[minus]):
             self.set_upper(minus, hi[plus], why, plus, minus)
-        self.set_lower(minus, lo[plus] - step, why, plus, minus)
-        if hi[minus] is not None:
+        if lo[plus] - step > lo[minus]:
+            self.set_lower(minus, lo[plus] - step, why, plus, minus)
+        if hi[minus] is not None and (hi[plus] is None or hi[minus] + step < hi[plus]):
             self.set_upper(plus, hi[minus] + step, why, plus, minus)
-        self.set_lower(plus, lo[minus], why, plus, minus)
+        if lo[minus] > lo[plus]:
+            self.set_lower(plus, lo[minus], why, plus, minus)
 
     def rule_r6(self, n: int) -> None:
         u = self._u[n]
@@ -286,56 +319,22 @@ class InferenceEngine:
 
     # -- the universe ---------------------------------------------------------------
 
-    def _expand(self, n: int, ends: dict, moves: dict) -> None:
-        """Add node n's mirror, its splits and its relation partners.
-
-        A ledger relation holds inside connected sums: if K- is obtained
-        from K+ by a crossing change, so is K- + A from K+ + A.  ``ends``
-        maps each end of a ledger relation to its other end; ``moves`` lists
-        the relations under an atom of the end that a partner replaces
-        (None for the unknot), but only those whose partners are no larger.
-        Larger partners are not created, which keeps the universe finite;
-        one that is in the universe anyway is related all the same, since
-        its own expansion finds this node as a partner no larger than itself.
-        """
-        key = self._keys[n]
-        m = self.node(mirror_atoms(key))
-        self._mirror[n], self._mirror[m] = m, n
-        self._split_start.append(len(self._r2) // 3)
-        for part_a, part_b in _binary_splits(key):
-            a, b = self.node(part_a), self.node(part_b)
-            i = len(self._r2) // 3
-            self._r2.extend((n, a, b))
-            self._part_of[a].append(i)
-            self._part_of[b].append(i)
-        for other, forward in ends.get(key, ()):
-            m = self.node(other)
-            self.relations.add((n, m) if forward else (m, n))
-        ck = Counter(key)
-        for atom in [*dict.fromkeys(key), None]:
-            for old, new, need, forward in moves.get(atom, ()):
-                if all(ck[a] >= c for a, c in need.items()):
-                    m = self.node(_replace(key, old, new))
-                    self.relations.add((n, m) if forward else (m, n))
-
     def _build(self, query: Key) -> None:
         """Close the universe over the query, then number the instances."""
-        ends: dict[Key, list] = {}
-        moves: dict[object, list] = {}
-        for plus, minus in self.ledger_bounds.relations():
-            ends.setdefault(plus, []).append((minus, True))
-            ends.setdefault(minus, []).append((plus, False))
-            for old, new, forward in ((plus, minus, True), (minus, plus, False)):
-                if len(new) <= len(old):
-                    moves.setdefault(old[0] if old else None, []).append(
-                        (old, new, Counter(old), forward))
-        self.node(query)
-        n = 0
-        while n < len(self._keys):  # nodes are expanded in creation order
-            self._expand(n, ends, moves)
-            n += 1
+        relations = self.ledger_bounds.relations()
+        if _relation_free(query, relations):
+            codes, self._mirror, self._r2, self._split_start, self._part_of = _shape(
+                tuple(Counter(query).values()))
+            table = [a for name, sign in dict.fromkeys(query)
+                     for a in ((name, sign), (name, not sign))]
+            self._keys = [tuple([table[c] for c in code]) for code in codes]
+            self.nodes = {key: n for n, key in enumerate(self._keys)}
+        else:
+            u = _Universe(query, relations)
+            self.nodes, self._keys, self.relations = u.nodes, u.keys, u.relations
+            self._mirror, self._r2, self._split_start, self._part_of = (
+                u.mirror, u.r2, u.split_start, u.part_of)
         n_nodes, n2 = len(self._keys), len(self._r2) // 3
-        self._split_start.append(n2)
         for r, (plus, minus) in enumerate(sorted(self.relations), start=n2):
             self._r3.extend((plus, minus))
             self._r3_of.setdefault(plus, []).append(r)
@@ -406,6 +405,120 @@ class InferenceEngine:
                              upper=None if hi is None else Fraction(hi, step),
                              justification=_Derivation(self.trace, self._keys, step),
                              provenance=dict(sorted(self.ledger_bounds.provenance.items())))
+
+
+class _Universe:
+    """The closure of a query under the reduced ledger ``relations``, laid
+    out as ``InferenceEngine`` describes: the nodes are expanded in creation
+    order, each adding its mirror, the two parts of each of its binary
+    splits and its relation partners."""
+
+    def __init__(self, query: Key, relations: list[tuple[Key, Key]]):
+        ends: dict[Key, list] = {}
+        moves: dict[object, list] = {}
+        for plus, minus in relations:
+            ends.setdefault(plus, []).append((minus, True))
+            ends.setdefault(minus, []).append((plus, False))
+            for old, new, forward in ((plus, minus, True), (minus, plus, False)):
+                if len(new) <= len(old):
+                    moves.setdefault(old[0] if old else None, []).append(
+                        (old, new, Counter(old), forward))
+        self.nodes: dict[Key, int] = {}
+        self.keys: list[Key] = []
+        self.mirror = array("i")
+        self.r2 = array("i")
+        self.split_start = array("i")
+        self.part_of: list[array] = []
+        self.relations: set[tuple[int, int]] = set()
+        self.node(query)
+        n = 0
+        while n < len(self.keys):
+            self._expand(n, ends, moves)
+            n += 1
+        self.split_start.append(len(self.r2) // 3)
+
+    def node(self, key: Key) -> int:
+        n = self.nodes.get(key)
+        if n is None:
+            if len(self.nodes) >= MAX_NODES:
+                raise EngineError(f"inference universe grew past {MAX_NODES} nodes")
+            n = len(self.keys)
+            self.nodes[key] = n
+            self.keys.append(key)
+            self.mirror.append(-1)
+            self.part_of.append(array("i"))
+        return n
+
+    def _expand(self, n: int, ends: dict, moves: dict) -> None:
+        """Add node n's mirror, its splits and its relation partners.
+
+        A ledger relation holds inside connected sums: if K- is obtained
+        from K+ by a crossing change, so is K- + A from K+ + A.  ``ends``
+        maps each end of a ledger relation to its other end; ``moves`` lists
+        the relations under an atom of the end that a partner replaces
+        (None for the unknot), but only those whose partners are no larger.
+        Larger partners are not created, which keeps the universe finite;
+        one that is in the universe anyway is related all the same, since
+        its own expansion finds this node as a partner no larger than itself.
+        """
+        key = self.keys[n]
+        m = self.node(mirror_atoms(key))
+        self.mirror[n], self.mirror[m] = m, n
+        self.split_start.append(len(self.r2) // 3)
+        for part_a, part_b in _binary_splits(key):
+            a, b = self.node(part_a), self.node(part_b)
+            i = len(self.r2) // 3
+            self.r2.extend((n, a, b))
+            self.part_of[a].append(i)
+            self.part_of[b].append(i)
+        for other, forward in ends.get(key, ()):
+            m = self.node(other)
+            self.relations.add((n, m) if forward else (m, n))
+        found = [moves[atom] for atom in [*dict.fromkeys(key), None] if atom in moves]
+        if found:
+            ck = Counter(key)
+            for entries in found:
+                for old, new, need, forward in entries:
+                    if all(ck[a] >= c for a, c in need.items()):
+                        m = self.node(_replace(key, old, new))
+                        self.relations.add((n, m) if forward else (m, n))
+
+
+def _relation_free(query: Key, relations: list[tuple[Key, Key]]) -> bool:
+    """Whether no reduced ledger relation reaches the universe of the
+    query: the query is not the unknot, no relation holds an atom of the
+    query or of its mirror, and none joins the unknot to itself (that one
+    would relate every node to itself)."""
+    atoms = {*query, *mirror_atoms(query)}
+    return bool(query) and all((plus or minus) and atoms.isdisjoint(plus + minus)
+                               for plus, minus in relations)
+
+
+# Closed universes of relation-free queries by their atom counts, the least
+# recently used first.  They hold at most MAX_NODES nodes in all, as many as
+# one largest universe (about 4 MiB); the shapes of one to eight distinct
+# atoms take 1,004.
+_shapes: dict[tuple[int, ...], tuple] = {}
+_shapes_lock = threading.Lock()
+
+
+def _shape(counts: tuple[int, ...]) -> tuple:
+    """The universe of a relation-free query whose distinct atoms occur
+    ``counts`` times, closed once on placeholder atoms: the keys, each atom
+    coded as 2i for the query's i-th distinct atom and 2i + 1 for its
+    mirror, then the mirror, R2, split-start and part arrays."""
+    with _shapes_lock:
+        shape = _shapes.pop(counts, None)
+        if shape is None:
+            u = _Universe(tuple([(i, False) for i, c in enumerate(counts) for _ in range(c)]),
+                          [])
+            shape = ([tuple([2 * i + m for i, m in key]) for key in u.keys],
+                     u.mirror, u.r2, u.split_start, u.part_of)
+            while _shapes and len(u.keys) + sum(
+                    len(s[0]) for s in _shapes.values()) > MAX_NODES:
+                del _shapes[next(iter(_shapes))]
+        _shapes[counts] = shape
+    return shape
 
 
 def _check_universe_size(query: Key) -> None:

@@ -37,7 +37,6 @@ read from.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -47,7 +46,7 @@ from .cyclotomic import MAX_Q, is_prime
 from .knots import ExpressionError, Key, expr_to_string, parse_expression
 from .seifert import SeifertMatrix
 from .sequences import DeltaSequence, SequenceError
-from . import DataError, signatures
+from . import DataError, Record, signatures
 
 
 class LedgerError(ValueError, DataError):
@@ -83,15 +82,12 @@ _NONNEGATIVE = {"g4", *_BOUNDS}
 FactValue = Union[int, bool, DeltaSequence]
 
 
-@dataclass(frozen=True)
-class Fact:
-    knot: str
-    kind: str
-    value: FactValue
-    provenance: str
-    mirror: bool = False
-    q: Optional[int] = None
-    j: Optional[int] = None
+class Fact(Record, frozen=True):
+    __slots__ = ("knot", "kind", "value", "provenance", "mirror", "q", "j")
+
+    def __init__(self, knot: str, kind: str, value: FactValue, provenance: str,
+                 mirror: bool = False, q: Optional[int] = None, j: Optional[int] = None):
+        self._assign(knot, kind, value, provenance, mirror, q, j)
 
     def key(self) -> tuple:
         return (self.knot, self.mirror, self.kind, self.q, self.j)
@@ -108,13 +104,20 @@ class Fact:
         return None if rule == 0 else self.value if rule == 1 else -self.value
 
 
-@dataclass
-class Ledger:
-    # atom name -> its Seifert matrix, or None for an atom ingested without one
-    atoms: dict[str, Optional[SeifertMatrix]]
-    facts: dict[tuple, Fact] = field(default_factory=dict)
-    # (K+, K-): changing a positive crossing of K+ to negative gives K-
-    relations: tuple[tuple[Key, Key], ...] = ()
+class Ledger(Record):
+    """``atoms`` maps an atom name to its Seifert matrix, or None for an atom
+    ingested without one; ``facts`` maps each fact's ``key()`` to it; each
+    relation (K+, K-) says that changing a positive crossing of K+ to
+    negative gives K-."""
+
+    __slots__ = ("atoms", "facts", "relations")
+
+    def __init__(self, atoms: dict[str, Optional[SeifertMatrix]],
+                 facts: Optional[dict[tuple, Fact]] = None,
+                 relations: tuple[tuple[Key, Key], ...] = ()):
+        self.atoms = atoms
+        self.facts = {} if facts is None else facts
+        self.relations = relations
 
     # -- lookup -------------------------------------------------------------
 

@@ -17,10 +17,10 @@ in the catalogue, and fail, so the discrepancy stays visible; see README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from . import Record
 from .branched import CoverInput, cover_b_plus_for_genus_bound, cover_topology
 from .definite import HomologyClass, compare_bounds, eta, genus_bound_odd_q, genus_bound_q2
 from .infer import infer_theta
@@ -37,13 +37,16 @@ from .sequences import (
 from .signatures import sigma_q, signature
 
 
-@dataclass
-class Check:
-    check_id: str
-    section: int
-    description: str
-    fn: Callable[[Ledger], tuple[str, str]]
-    note: str = ""
+class Check(Record):
+    __slots__ = ("check_id", "section", "description", "fn", "note")
+
+    def __init__(self, check_id: str, section: int, description: str,
+                 fn: Callable[[Ledger], tuple[str, str]], note: str = ""):
+        self.check_id = check_id
+        self.section = section
+        self.description = description
+        self.fn = fn
+        self.note = note
 
 
 def _theta_engine(ledger: Ledger, text: str, q: int = 2) -> str:

@@ -9,10 +9,9 @@ replaces V by -V^T and connected sum is block sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from . import DataError
+from . import DataError, Record
 
 
 # Largest size of a Seifert matrix (genus 15, that of T(2,31)); exact
@@ -48,12 +47,11 @@ def _det_int(rows: list[list[int]]) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
-    rows: tuple[tuple[int, ...], ...]
+class SeifertMatrix(Record, frozen=True):
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = self.rows
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self._assign(rows)
         n = len(rows)
         size = max([n, *map(len, rows)])
         if size > MAX_SEIFERT_SIZE:

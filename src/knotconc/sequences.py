@@ -29,10 +29,9 @@ nonvanishing degree of HF^+ of the branched cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import DataError
+from . import DataError, Record
 from .cyclotomic import check_prime
 
 
@@ -44,18 +43,17 @@ class InconsistentDataError(ValueError, DataError):
     """Ledger data that cannot belong to any knot (parity, threshold, ...)."""
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
+class DeltaSequence(Record, frozen=True):
     """Non-increasing integer sequence with an eventual constant value.
 
     ``values[j]`` holds delta_j for j < len(values); delta_j = stable for all
     larger j.  The listed prefix may already contain the stable value.
     """
 
-    values: tuple[int, ...]
-    stable: int
+    __slots__ = ("values", "stable")
 
-    def __post_init__(self):
+    def __init__(self, values: tuple[int, ...], stable: int):
+        self._assign(values, stable)
         for a, b in zip(self.values, self.values[1:]):
             if b > a:
                 raise SequenceError(f"delta sequence must be non-increasing: {self.values}")
@@ -211,6 +209,8 @@ class DeltaUpperBound(DeltaSequence):
     (j scans, theta) as if they were a knot's true sequence.
     """
 
+    __slots__ = ()
+
 
 def sum_delta_upper(d1: DeltaSequence, d2: DeltaSequence) -> DeltaUpperBound:
     """Min-plus convolution: out_k = min over i+j=k of d1_i + d2_j.
@@ -226,14 +226,13 @@ def sum_delta_upper(d1: DeltaSequence, d2: DeltaSequence) -> DeltaUpperBound:
     return DeltaUpperBound(tuple(out), d1.stable + d2.stable)
 
 
-@dataclass(frozen=True)
-class JBounds:
+class JBounds(Record, frozen=True):
     """Integer interval [lower, upper] for a j value, with the shifts used."""
 
-    lower: int
-    upper: int
-    alpha: int
-    beta: int
+    __slots__ = ("lower", "upper", "alpha", "beta")
+
+    def __init__(self, lower: int, upper: int, alpha: int, beta: int):
+        self._assign(lower, upper, alpha, beta)
 
 
 def crossing_change_shifts(q: int, sigq_plus: int, sigq_minus: int) -> tuple[int, int]:

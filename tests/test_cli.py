@@ -187,10 +187,13 @@ README_RELATION_QUERY = ("T(2,3) + -T(2,5) + T(3,7) + -9_42 + Wh(T(2,3)) + -T(2,
     (["branch-cover", "--q", "4", "--b2x", "0", "--sigmax", "0", "--genus", "1",
       "--sigq-out", "0"], 1, "usage error: --q must be prime, got 4"),
     (["reproduce", "--section", "9", "--list"], 1, "usage error: no checks in section 9"),
+    # the catalogue reads no ledger, so one given with it has no reader
+    (["reproduce", "--list", "--ledger", "no-such.json"], 1,
+     "usage error: --list reads no ledger"),
 ], ids=["universe-grew-past-limit", "unclosed-paren", "sig-unknown-atom",
         "sig-mirror-atom-spaced", "sig-mirror-atom-joined", "compare-odd-class",
         "reproduce-no-q", "branch-cover-no-ledger", "branch-cover-q-not-prime",
-        "list-empty-section"])
+        "list-empty-section", "list-no-ledger"])
 def test_error_exits_with_one_line(argv, code, line, capsys):
     assert run(capsys, *argv) == (code, "", line + "\n")
 
@@ -388,10 +391,12 @@ def test_cli_imports_only_the_standard_library():
     # the commands import their layers when they run, so importing
     # knotconc.cli alone loads few of them: import every module of the
     # package.  Modules a site hook loads at interpreter start are not the
-    # package's, so only those that these imports add are checked.
-    code = ("import importlib, pkgutil, sys; before = set(sys.modules); import knotconc; "
-            "[importlib.import_module('knotconc.' + m.name) "
-            " for m in pkgutil.iter_modules(knotconc.__path__)]; "
+    # package's, so only those that these imports add are checked.  The
+    # modules are listed with os, not pkgutil, which itself loads inspect.
+    code = ("import importlib, os, sys; before = set(sys.modules); import knotconc; "
+            "[importlib.import_module('knotconc.' + f[:-3]) "
+            " for f in os.listdir(knotconc.__path__[0]) "
+            " if f.endswith('.py') and f != '__init__.py']; "
             "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
@@ -404,6 +409,8 @@ def test_cli_imports_only_the_standard_library():
     tops = {m.partition(".")[0] for m in loaded}
     assert "knotconc" in tops
     assert [m for m in tops if m != "knotconc" and m not in sys.stdlib_module_names] == []
+    # records are plain classes: dataclasses would load inspect, ast and dis
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 # A command runs in a fresh process through cli.main; the result is its exit

@@ -5,9 +5,9 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from knotconc import cyclotomic, signatures
+from knotconc import cyclotomic, infer, signatures
 from knotconc.cyclotomic import Cyclotomic
-from knotconc.infer import infer_theta
+from knotconc.infer import InferenceEngine, infer_theta
 from knotconc.knots import parse_expression
 from knotconc.ledger import load_seed_ledger
 from knotconc.seifert import two_strand_torus_matrix
@@ -28,6 +28,35 @@ def test_concurrent_inference_matches_serial():
     for i, iv in enumerate(parallel):
         want = serial[i % len(QUERIES)]
         assert (iv.lower, iv.upper) == (want.lower, want.upper)
+
+
+def test_concurrent_queries_of_one_shape_share_one_universe():
+    # relation-free queries whose atoms, in key order, occur (1, 2, 1)
+    # times are all closed from one cached universe; emptying the cache
+    # first makes the threads race to fill it
+    ledger = load_seed_ledger()
+    texts = ["T(2,11) + T(2,7) + T(2,7) + -T(3,5)", "-T(2,13) + -T(2,17) + -T(2,17) + T(3,11)",
+             "T(2,19) + T(2,23) + T(2,23) + T(2,29)", "-T(3,13) + T(3,17) + T(3,17) + -T(3,7)"]
+    serial = [infer_theta(ledger, parse_expression(t)) for t in texts]
+
+    def run(text):
+        engine = InferenceEngine(ledger, 2)
+        return engine, engine.interval(engine.run(parse_expression(text)))
+
+    infer._shapes.clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(run, texts * 4))
+    finally:
+        sys.setswitchinterval(old)
+    for attr in ("_mirror", "_r2", "_split_start", "_part_of"):
+        assert len({id(getattr(engine, attr)) for engine, _ in parallel}) == 1
+    for i, (_, iv) in enumerate(parallel):
+        want = serial[i % len(texts)]
+        assert (iv.lower, iv.upper, list(iv.justification), iv.provenance) == (
+            want.lower, want.upper, list(want.justification), want.provenance)
 
 
 def test_concurrent_signatures_match_serial():

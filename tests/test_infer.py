@@ -155,15 +155,67 @@ def test_r2_needs_every_binary_split(monkeypatch):
 def test_universe_sizes():
     """Nodes and crossing-change relations of a query's universe, as the
     pass-based engine built them: a partner larger than its node is related
-    from its own side, and a relation end brings in the other end."""
+    from its own side, and a relation end brings in the other end.  A
+    relation-free query has the 2 (prod(c_i + 1) - 1) nodes of its shape."""
     L = load_seed_ledger()
     for text, nodes, relations in [
         ("T(2,3)", 11, 10), ("unknot", 11, 10), ("T(2,5) + -Wh(T(2,3))", 15, 18),
         ("9_42 + T(2,3) + -T(2,5)", 31, 58), ("T(2,3) + T(2,3) + Wh(T(2,5))", 27, 40),
+        ("T(2,7) + T(2,11) + -T(3,5)", 14, 0), ("T(2,7) + T(2,7) + -T(3,5)", 10, 0),
     ]:
         engine = InferenceEngine(L, 2)
         engine.run(parse_expression(text))
         assert (len(engine.nodes), len(engine.relations)) == (nodes, relations), text
+
+
+def test_shape_cache_matches_the_closure_of_the_real_key(monkeypatch):
+    """A relation-free query's universe, relabelled from the closure of its
+    shape, is the one the closure of its own key gives, node for node, and
+    so is every derived bound, line and citation."""
+    L = load_seed_ledger()
+    in_relations = {name for pair in L.relations for end in pair for name, _ in end}
+    pool = sorted(set(L.atoms) - in_relations - {"unknot", "9_46"})
+    rng = random.Random(2828)
+    queries = []
+    for _ in range(220):
+        names = rng.sample(pool, rng.randint(1, 4))
+        # repeats, and mirrors that cancel against a summand
+        summands = [(rng.choice(names), rng.random() < 0.4) for _ in range(rng.randint(1, 6))]
+        queries.append((signed_atoms(summands), rng.choice((2, 3))))
+
+    def report(iv):
+        return iv.lower, iv.upper, list(iv.justification), iv.provenance
+
+    cached, shaped = [], 0
+    for expr, q in queries:
+        engine = InferenceEngine(L, q)
+        query = engine.run(expr)
+        cached.append(report(engine.interval(query)))
+        if not query:  # the unknot's universe is closed on its own key
+            continue
+        shaped += 1
+        closed = infer_module._Universe(query, [])
+        assert engine.relations == closed.relations == set()
+        assert engine._keys == closed.keys and engine._mirror == closed.mirror
+        assert engine._r2 == closed.r2 and engine._split_start == closed.split_start
+        assert engine._part_of == closed.part_of
+    assert shaped >= 200
+    monkeypatch.setattr(infer_module, "_relation_free", lambda query, relations: False)
+    assert [report(infer_theta(L, expr, q=q)) for expr, q in queries] == cached
+
+
+def test_relation_of_slice_knots_is_not_relation_free():
+    """A relation between two slice atoms reduces to the unknot on both
+    ends, which relates every node to itself: a query sharing no atom with
+    it is still closed on its own key, with those relations."""
+    L = ledger_from_json({
+        "atoms": [{"name": "K"}, {"name": "S"}, {"name": "U"}],
+        "facts": [{"knot": a, "kind": "slice", "value": True, "provenance": "t"}
+                  for a in "SU"],
+        "relations": [{"plus": "S", "minus": "U"}]})
+    engine = InferenceEngine(L, 2)
+    engine.run(parse_expression("K + K"))
+    assert len(engine.nodes) == 4 and engine.relations == {(n, n) for n in range(4)}
 
 
 def test_inconsistent_ledger_reports_rules():

@@ -128,3 +128,28 @@ def test_det_int_matches_cofactor_expansion():
         [[0, 2, 1], [0, 3, 4], [5, 6, 7]])
     assert _det_int([[1, 2, 3], [2, 4, 6], [0, 0, 0]]) == 0
     assert _det_int([]) == 1
+
+
+def test_records_keep_dataclass_semantics():
+    # the package's records are plain classes on knotconc.Record
+    from fractions import Fraction
+
+    from knotconc.infer import BoundInterval
+    from knotconc.sequences import DeltaSequence, DeltaUpperBound
+    V = two_strand_torus_matrix(3)
+    assert V == SeifertMatrix(((-1, 1), (0, -1))) and len({V, two_strand_torus_matrix(3)}) == 1
+    assert repr(SeifertMatrix(())) == "SeifertMatrix(rows=())"
+    with pytest.raises(AttributeError):
+        V.rows = ()
+    with pytest.raises(AttributeError):
+        del V.rows
+    d = DeltaSequence((0, -4), -4)
+    assert repr(d) == "DeltaSequence(values=(0, -4), stable=-4)"
+    assert d != DeltaUpperBound((0, -4), -4) and hash(d) == hash(DeltaSequence((0, -4), -4))
+    with pytest.raises(AttributeError):
+        d.stable = 0
+    iv = BoundInterval(Fraction(1), None, ["a"], {"f": "p"})
+    assert iv == BoundInterval(Fraction(1), None, ["b"], {"f": "p"})
+    assert iv != BoundInterval(Fraction(1), None, ["a"])
+    with pytest.raises(TypeError):
+        hash(iv)
