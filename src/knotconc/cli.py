@@ -6,7 +6,8 @@ inference-engine error, 3 reproduction failure.  A command whose reader
 closes stdout before the output ends (``knotconc ... | head -1``) keeps
 the exit code it decided and prints nothing to stderr.  Output is
 deterministic for fixed inputs; --json switches to a machine-readable
-report.  A command takes only the shared flags it reads: ``reproduce``
+report, which always holds the derivation (--quiet with it is a usage
+error).  A command takes only the shared flags it reads: ``reproduce``
 has no --q and ``branch-cover`` no --ledger.  ``main`` checks --q, a prime
 <= MAX_Q, before the command runs.
 Expressions nest at most knots.MAX_NESTING deep (deeper is a usage error),
@@ -187,6 +188,8 @@ def _cmd_theta(args) -> int:
     """theta^(q)(K, m) for ``theta-m``; theta^(q)(K) for ``theta`` (m is None)."""
     from .infer import infer_theta, infer_theta_m
     q = args.q
+    if args.quiet and args.json:
+        raise _UsageError("--quiet has no effect with --json")
     if args.m is not None and args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
     ledger = _load(args)
@@ -376,7 +379,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("theta-m", parents=common, help="the m-shifted invariant")
     p.add_argument("--expr", required=True, help=expr_help)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--quiet", action="store_true", help="value only, no derivation")
     p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("genus-bound", parents=common,

@@ -36,17 +36,21 @@ only when a bound it reads changes, and never twice at once.  R2 and R3
 call a bound setter only with a bound tighter than the current one; any
 other call would do nothing.
 
+The universe is one list of keys, ``nodes``, with the reduced query at
+node 0; ``run`` returns node 0's interval.  A ledger relation whose
+reduced ends are equal (one between two slice atoms, say) is dropped
+before the closure: R3 on a node paired with itself never tightens a bound.
+
 A query Q is relation-free when no reduced ledger relation holds a signed
-atom of Q or of its mirror, and none joins the unknot to itself.  Its
-universe is then exactly the nonempty sub-multisets of Q and of -Q,
-2 (prod(c_i + 1) - 1) nodes for atom counts c_i, so the up-front
-``MAX_NODES`` check is exact for it, and its layout depends on the count
-vector alone.  A reduced key holds each name with one sign, and mirroring
-keeps the names' order, so renaming the i-th distinct atom of Q to a
-placeholder i keeps the order of every key, and with it the closure's
-numbering of nodes and instances.  The shape cache therefore closes each
-count vector's universe once, with the same closure run on placeholder
-atoms, and keeps its keys and its mirror, split and part arrays (a
+atom of Q or of its mirror.  Its universe is then exactly the nonempty
+sub-multisets of Q and of -Q, 2 (prod(c_i + 1) - 1) nodes for atom counts
+c_i, so the up-front ``MAX_NODES`` check is exact for it, and its layout
+depends on the count vector alone.  A reduced key holds each name with one
+sign, and mirroring keeps the names' order, so renaming the i-th distinct
+atom of Q to a placeholder i keeps the order of every key, and with it the
+closure's numbering of nodes and instances.  The shape cache therefore
+closes each count vector's universe once, with the same closure run on
+placeholder atoms, and keeps that closed universe with its keys coded (a
 module-level LRU, ``_shapes``, of at most ``MAX_NODES`` nodes in all).  A
 query of that shape only relabels the keys and shares the arrays, which
 nothing writes after the closure, with every other engine and thread.
@@ -155,8 +159,8 @@ def _rule_text(keys: list[Key], why: str, parts: tuple[int, ...]) -> str:
 class _Derivation(Sequence):
     """An engine's bound updates, each formatted as a line only when read."""
 
-    def __init__(self, records: list, keys: list[Key], step: int):
-        self._records, self._keys, self._step = records, keys, step
+    def __init__(self, records: list, nodes: list[Key], step: int):
+        self._records, self._nodes, self._step = records, nodes, step
 
     def __len__(self) -> int:
         return len(self._records)
@@ -165,30 +169,31 @@ class _Derivation(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         n, relation, steps, why, parts = self._records[i]
-        return (f"theta({_key_str(self._keys[n])}) {relation} "
-                f"{Fraction(steps, self._step)}  [{_rule_text(self._keys, why, parts)}]")
+        return (f"theta({_key_str(self._nodes[n])}) {relation} "
+                f"{Fraction(steps, self._step)}  [{_rule_text(self._nodes, why, parts)}]")
 
 
 class InferenceEngine:
     """One query's universe, rule instances and bounds.
 
-    Node ``n`` has key ``_keys[n]``, mirror ``_mirror[n]`` and bounds
-    ``_lo[n]``, ``_hi[n]`` in lattice steps (``_hi[n]`` is None while no
-    upper bound is known).  R2 instance ``i`` is the split
+    ``nodes`` is the list of keys, the reduced query at node 0.  Node ``n``
+    has key ``nodes[n]``, mirror ``_mirror[n]`` and bounds ``_lo[n]``,
+    ``_hi[n]`` in lattice steps (``_hi[n]`` is None while no upper bound is
+    known).  R2 instance ``i`` is the split
     ``_r2[3i] = _r2[3i+1] + _r2[3i+2]``; node n's splits are the instances
     from ``_split_start[n]`` to ``_split_start[n+1]``, and ``_part_of[n]``
     is an ``array("i")`` of the instances with n as a part, in instance
     order (twice where both parts are n).  R3 instance ``r`` is the relation
     ``_r3[2r] -> _r3[2r+1]``; ``_r3_of[n]`` lists those at n.  Worklist
     items number the R2 instances, then the R3 instances, then the nodes
-    (R6).
+    (R6).  ``run`` sets all of these and returns the query's interval.
 
-    ``_mirror``, ``_r2``, ``_split_start`` and ``_part_of`` are never
-    written once the universe is closed.  For a relation-free query (see
-    the module docstring) they come from the shape cache: the closure of
-    its atom counts on placeholder atoms, whose numbering the relabelled
-    keys keep, since relabelling keeps every key's order.  Every engine that
-    runs a query of that shape shares them; ``_keys`` and ``nodes`` are its
+    ``relations``, ``_mirror``, ``_r2``, ``_split_start`` and ``_part_of``
+    are the closed universe's own and never written.  For a relation-free
+    query (see the module docstring) they come from the shape cache: the
+    closure of its atom counts on placeholder atoms, whose numbering the
+    relabelled keys keep, since relabelling keeps every key's order.  Every
+    engine that runs a query of that shape shares them; ``nodes`` is its
     own.  Such a universe has exactly 2 (prod(c_i + 1) - 1) nodes, so the
     up-front ``MAX_NODES`` check decides it.
     """
@@ -199,22 +204,7 @@ class InferenceEngine:
         self.q = q
         self.rule_seed = rule_seed
         self.ledger_bounds = LedgerBounds(ledger, q)
-        self.nodes: dict[Key, int] = {}
-        self.relations: set[tuple[int, int]] = set()
         self.trace: list[tuple[int, str, int, str, tuple[int, ...]]] = []
-        self._keys: list[Key] = []
-        self._mirror = array("i")
-        self._lo: list[int] = []
-        self._hi: list[Optional[int]] = []
-        self._u: list[Optional[int]] = []
-        self._r2 = array("i")
-        self._split_start = array("i")
-        self._part_of: list[array] = []
-        self._r3 = array("i")
-        self._r3_of: dict[int, list[int]] = {}
-        self._n23 = 0
-        self._queued = bytearray()
-        self._work = array("i")
 
     # -- bounds ----------------------------------------------------------------
 
@@ -245,11 +235,11 @@ class InferenceEngine:
 
     def _inconsistent(self, n: int) -> LedgerInconsistentError:
         # a clash needs both bounds set, each by the last record of its side
-        lo, hi = (next(_rule_text(self._keys, *r[3:]) for r in reversed(self.trace)
+        lo, hi = (next(_rule_text(self.nodes, *r[3:]) for r in reversed(self.trace)
                        if r[:2] == (n, side)) for side in (">=", "<="))
         step = self.q - 1
         return LedgerInconsistentError(
-            f"ledger inconsistent at {_key_str(self._keys[n])}: "
+            f"ledger inconsistent at {_key_str(self.nodes[n])}: "
             f"lower bound {Fraction(self._lo[n], step)} ({lo}) exceeds "
             f"upper bound {Fraction(self._hi[n], step)} ({hi})"
         )
@@ -320,21 +310,21 @@ class InferenceEngine:
     # -- the universe ---------------------------------------------------------------
 
     def _build(self, query: Key) -> None:
-        """Close the universe over the query, then number the instances."""
+        """Close the universe over the query, or relabel its shape's, then
+        number the instances and open every bound."""
         relations = self.ledger_bounds.relations()
         if _relation_free(query, relations):
-            codes, self._mirror, self._r2, self._split_start, self._part_of = _shape(
-                tuple(Counter(query).values()))
+            u = _shape(tuple(Counter(query).values()))
             table = [a for name, sign in dict.fromkeys(query)
                      for a in ((name, sign), (name, not sign))]
-            self._keys = [tuple([table[c] for c in code]) for code in codes]
-            self.nodes = {key: n for n, key in enumerate(self._keys)}
+            self.nodes = [tuple([table[c] for c in code]) for code in u.keys]
         else:
             u = _Universe(query, relations)
-            self.nodes, self._keys, self.relations = u.nodes, u.keys, u.relations
-            self._mirror, self._r2, self._split_start, self._part_of = (
-                u.mirror, u.r2, u.split_start, u.part_of)
-        n_nodes, n2 = len(self._keys), len(self._r2) // 3
+            self.nodes = u.keys
+        self.relations, self._mirror, self._r2, self._split_start, self._part_of = (
+            u.relations, u.mirror, u.r2, u.split_start, u.part_of)
+        n_nodes, n2 = len(self.nodes), len(self._r2) // 3
+        self._r3, self._r3_of = array("i"), {}
         for r, (plus, minus) in enumerate(sorted(self.relations), start=n2):
             self._r3.extend((plus, minus))
             self._r3_of.setdefault(plus, []).append(r)
@@ -342,24 +332,25 @@ class InferenceEngine:
         self._n23 = n2 + len(self.relations)
         self._lo = [0] * n_nodes
         self._hi = [None] * n_nodes
-        self._u = [self.ledger_bounds.u_upper(key) for key in self._keys]
+        self._u = [self.ledger_bounds.u_upper(key) for key in self.nodes]
         self._queued = bytearray(self._n23 + n_nodes)
+        self._work = array("i")
 
     # -- driver -------------------------------------------------------------
 
-    def run(self, expr: Key) -> Key:
+    def run(self, expr: Key) -> BoundInterval:
+        """The tightest interval of ``expr``, whose reduced form is node 0."""
         self.ledger.require_atoms(expr)
         query = self.ledger_bounds.reduce(expr)
         _check_universe_size(query)
         self._build(query)
         rng = random.Random(self.rule_seed) if self.rule_seed is not None else None
-        order = list(range(len(self._keys)))
+        order = list(range(len(self.nodes)))
         if rng is not None:
             rng.shuffle(order)
         step = self.q - 1
         for n in order:
-            key = self._keys[n]
-            found = self.ledger_bounds.bounds(key)
+            found = self.ledger_bounds.bounds(self.nodes[n])
             if rng is not None:
                 rng.shuffle(found)
             for lower, upper, why in found:
@@ -368,10 +359,12 @@ class InferenceEngine:
                 if upper is not None:
                     self.set_upper(n, math.floor(upper * step), why)
             self.rule_r6(n)
-            if not key:
-                self.set_upper(n, 0, "concordance: slice connected sum")
         self._drain(rng)
-        return query
+        hi = self._hi[0]
+        return BoundInterval(lower=Fraction(self._lo[0], step),
+                             upper=None if hi is None else Fraction(hi, step),
+                             justification=_Derivation(self.trace, self.nodes, step),
+                             provenance=dict(sorted(self.ledger_bounds.provenance.items())))
 
     def _drain(self, rng: Optional[random.Random]) -> None:
         """Fire queued instances, round by round, until none is queued."""
@@ -397,15 +390,6 @@ class InferenceEngine:
                 else:
                     self.rule_r6(i - n23)
 
-    def interval(self, key: Key) -> BoundInterval:
-        n = self.nodes[key]
-        step = self.q - 1
-        hi = self._hi[n]
-        return BoundInterval(lower=Fraction(self._lo[n], step),
-                             upper=None if hi is None else Fraction(hi, step),
-                             justification=_Derivation(self.trace, self._keys, step),
-                             provenance=dict(sorted(self.ledger_bounds.provenance.items())))
-
 
 class _Universe:
     """The closure of a query under the reduced ledger ``relations``, laid
@@ -423,27 +407,28 @@ class _Universe:
                 if len(new) <= len(old):
                     moves.setdefault(old[0] if old else None, []).append(
                         (old, new, Counter(old), forward))
-        self.nodes: dict[Key, int] = {}
         self.keys: list[Key] = []
         self.mirror = array("i")
         self.r2 = array("i")
         self.split_start = array("i")
         self.part_of: list[array] = []
         self.relations: set[tuple[int, int]] = set()
+        self._index: dict[Key, int] = {}
         self.node(query)
         n = 0
         while n < len(self.keys):
             self._expand(n, ends, moves)
             n += 1
         self.split_start.append(len(self.r2) // 3)
+        del self._index  # nothing looks a key up once the universe is closed
 
     def node(self, key: Key) -> int:
-        n = self.nodes.get(key)
+        n = self._index.get(key)
         if n is None:
-            if len(self.nodes) >= MAX_NODES:
+            if len(self.keys) >= MAX_NODES:
                 raise EngineError(f"inference universe grew past {MAX_NODES} nodes")
             n = len(self.keys)
-            self.nodes[key] = n
+            self._index[key] = n
             self.keys.append(key)
             self.mirror.append(-1)
             self.part_of.append(array("i"))
@@ -486,39 +471,36 @@ class _Universe:
 
 def _relation_free(query: Key, relations: list[tuple[Key, Key]]) -> bool:
     """Whether no reduced ledger relation reaches the universe of the
-    query: the query is not the unknot, no relation holds an atom of the
-    query or of its mirror, and none joins the unknot to itself (that one
-    would relate every node to itself)."""
+    query: the query is not the unknot, and no relation holds an atom of
+    the query or of its mirror."""
     atoms = {*query, *mirror_atoms(query)}
-    return bool(query) and all((plus or minus) and atoms.isdisjoint(plus + minus)
-                               for plus, minus in relations)
+    return bool(query) and all(atoms.isdisjoint(plus + minus) for plus, minus in relations)
 
 
 # Closed universes of relation-free queries by their atom counts, the least
 # recently used first.  They hold at most MAX_NODES nodes in all, as many as
 # one largest universe (about 4 MiB); the shapes of one to eight distinct
 # atoms take 1,004.
-_shapes: dict[tuple[int, ...], tuple] = {}
+_shapes: dict[tuple[int, ...], _Universe] = {}
 _shapes_lock = threading.Lock()
 
 
-def _shape(counts: tuple[int, ...]) -> tuple:
+def _shape(counts: tuple[int, ...]) -> _Universe:
     """The universe of a relation-free query whose distinct atoms occur
-    ``counts`` times, closed once on placeholder atoms: the keys, each atom
+    ``counts`` times, closed once on placeholder atoms, each atom of a key
     coded as 2i for the query's i-th distinct atom and 2i + 1 for its
-    mirror, then the mirror, R2, split-start and part arrays."""
+    mirror."""
     with _shapes_lock:
-        shape = _shapes.pop(counts, None)
-        if shape is None:
+        u = _shapes.pop(counts, None)
+        if u is None:
             u = _Universe(tuple([(i, False) for i, c in enumerate(counts) for _ in range(c)]),
                           [])
-            shape = ([tuple([2 * i + m for i, m in key]) for key in u.keys],
-                     u.mirror, u.r2, u.split_start, u.part_of)
+            u.keys = [tuple([2 * i + m for i, m in key]) for key in u.keys]
             while _shapes and len(u.keys) + sum(
-                    len(s[0]) for s in _shapes.values()) > MAX_NODES:
+                    len(s.keys) for s in _shapes.values()) > MAX_NODES:
                 del _shapes[next(iter(_shapes))]
-        _shapes[counts] = shape
-    return shape
+        _shapes[counts] = u
+    return u
 
 
 def _check_universe_size(query: Key) -> None:
@@ -566,9 +548,7 @@ def infer_theta(ledger: Ledger, expr: Key, q: int = 2,
     Raises LedgerInconsistentError when the rules collide (the ledger then
     contains data that cannot all be true of actual knots).
     """
-    engine = InferenceEngine(ledger, q, rule_seed=rule_seed)
-    query = engine.run(expr)
-    return engine.interval(query)
+    return InferenceEngine(ledger, q, rule_seed=rule_seed).run(expr)
 
 
 def infer_theta_m(ledger: Ledger, expr: Key, q: int, m: int) -> BoundInterval:
@@ -582,9 +562,8 @@ def infer_theta_m(ledger: Ledger, expr: Key, q: int, m: int) -> BoundInterval:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     engine = InferenceEngine(ledger, q)
-    query = engine.run(expr)  # raises if the ledger is inconsistent here
-    rules = engine.ledger_bounds
-    base = engine.interval(query)
+    base = engine.run(expr)  # raises if the ledger is inconsistent here
+    query, rules = engine.nodes[0], engine.ledger_bounds
     # the exact value cites only the facts it reads, not the engine run's
     exact = LedgerBounds(ledger, q)
     for value, _, _ in exact.r8(exact.reduce(expr), m):  # at most one

@@ -74,13 +74,16 @@ class LedgerBounds:
 
     def relations(self) -> list[tuple[Key, Key]]:
         """The ledger's crossing-change relations, reduced, and their
-        mirrors: if K+ -> K- is one, so is -K- -> -K+."""
+        mirrors: if K+ -> K- is one, so is -K- -> -K+.  A relation whose
+        reduced ends are equal is left out, with its mirror: R3 on a node
+        paired with itself never tightens a bound."""
         out = []
         for plus, minus in self.ledger.relations:
             plus = self.reduce(plus)
             minus = self.reduce(minus)
-            out.append((plus, minus))
-            out.append((mirror_atoms(minus), mirror_atoms(plus)))
+            if plus != minus:
+                out.append((plus, minus))
+                out.append((mirror_atoms(minus), mirror_atoms(plus)))
         return out
 
     # -- additive quantities ------------------------------------------------

@@ -190,12 +190,28 @@ README_RELATION_QUERY = ("T(2,3) + -T(2,5) + T(3,7) + -9_42 + Wh(T(2,3)) + -T(2,
     # the catalogue reads no ledger, so one given with it has no reader
     (["reproduce", "--list", "--ledger", "no-such.json"], 1,
      "usage error: --list reads no ledger"),
+    # --json always writes the whole derivation, so --quiet has no reader there
+    (["theta", "--expr", "T(2,11) + -T(3,5)", "--q", "3", "--quiet", "--json"], 1,
+     "usage error: --quiet has no effect with --json"),
+    (["theta-m", "--expr", "T(3,7)", "--m", "4", "--quiet", "--json"], 1,
+     "usage error: --quiet has no effect with --json"),
 ], ids=["universe-grew-past-limit", "unclosed-paren", "sig-unknown-atom",
         "sig-mirror-atom-spaced", "sig-mirror-atom-joined", "compare-odd-class",
         "reproduce-no-q", "branch-cover-no-ledger", "branch-cover-q-not-prime",
-        "list-empty-section", "list-no-ledger"])
+        "list-empty-section", "list-no-ledger", "theta-quiet-json", "theta-m-quiet-json"])
 def test_error_exits_with_one_line(argv, code, line, capsys):
     assert run(capsys, *argv) == (code, "", line + "\n")
+
+
+def test_empty_key_is_bounded_by_r1_on_any_ledger(tmp_path, capsys):
+    # K + -K reduces to the unknot; with no fact on K, R1's genus bound over
+    # the empty sum, g4 <= 0, is the whole derivation
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"atoms": [{"name": "K"}], "facts": [], "relations": []}))
+    code, out, _ = run(capsys, "theta", "--expr", "K + -K", "--ledger", str(path))
+    assert code == 0 and out.splitlines()[1:] == [
+        "theta = 0", "derivation:",
+        "  theta(unknot) <= 0  [R1 slice genus upper bound, g4 <= 0]"]
 
 
 def test_reproduce_list_and_sections(capsys):

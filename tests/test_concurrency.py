@@ -41,7 +41,7 @@ def test_concurrent_queries_of_one_shape_share_one_universe():
 
     def run(text):
         engine = InferenceEngine(ledger, 2)
-        return engine, engine.interval(engine.run(parse_expression(text)))
+        return engine, engine.run(parse_expression(text))
 
     infer._shapes.clear()
     old = sys.getswitchinterval()

@@ -189,14 +189,14 @@ def test_shape_cache_matches_the_closure_of_the_real_key(monkeypatch):
     cached, shaped = [], 0
     for expr, q in queries:
         engine = InferenceEngine(L, q)
-        query = engine.run(expr)
-        cached.append(report(engine.interval(query)))
+        cached.append(report(engine.run(expr)))
+        query = engine.nodes[0]
         if not query:  # the unknot's universe is closed on its own key
             continue
         shaped += 1
         closed = infer_module._Universe(query, [])
         assert engine.relations == closed.relations == set()
-        assert engine._keys == closed.keys and engine._mirror == closed.mirror
+        assert engine.nodes == closed.keys and engine._mirror == closed.mirror
         assert engine._r2 == closed.r2 and engine._split_start == closed.split_start
         assert engine._part_of == closed.part_of
     assert shaped >= 200
@@ -204,18 +204,25 @@ def test_shape_cache_matches_the_closure_of_the_real_key(monkeypatch):
     assert [report(infer_theta(L, expr, q=q)) for expr, q in queries] == cached
 
 
-def test_relation_of_slice_knots_is_not_relation_free():
+def test_relation_of_slice_knots_is_dropped():
     """A relation between two slice atoms reduces to the unknot on both
-    ends, which relates every node to itself: a query sharing no atom with
-    it is still closed on its own key, with those relations."""
-    L = ledger_from_json({
+    ends, a relation that can tighten nothing: it is dropped, so a query
+    sharing no atom with it is closed from its shape and derives what it
+    derives without the relation."""
+    data = {
         "atoms": [{"name": "K"}, {"name": "S"}, {"name": "U"}],
-        "facts": [{"knot": a, "kind": "slice", "value": True, "provenance": "t"}
-                  for a in "SU"],
-        "relations": [{"plus": "S", "minus": "U"}]})
-    engine = InferenceEngine(L, 2)
-    engine.run(parse_expression("K + K"))
-    assert len(engine.nodes) == 4 and engine.relations == {(n, n) for n in range(4)}
+        "facts": [{"knot": "K", "kind": "g4", "value": 1, "provenance": "t"}]
+                 + [{"knot": a, "kind": "slice", "value": True, "provenance": "t"}
+                    for a in "SU"],
+        "relations": [{"plus": "S", "minus": "U"}]}
+    engine = InferenceEngine(ledger_from_json(data), 2)
+    iv = engine.run(parse_expression("K + K"))
+    assert len(engine.nodes) == 4 and engine.relations == set()
+    assert engine._mirror is infer_module._shapes[(2,)].mirror
+    without = infer(ledger_from_json({**data, "relations": []}), "K + K")
+    assert (iv.lower, iv.upper, list(iv.justification)) == (
+        without.lower, without.upper, list(without.justification))
+    assert iv.upper == 2 and iv.justification
 
 
 def test_inconsistent_ledger_reports_rules():
