@@ -17,7 +17,7 @@ from . import DataError, Record
 # Largest size of a Seifert matrix (genus 15, that of T(2,31)); exact
 # signature work grows quickly with it, so it is checked before any entry.
 MAX_SEIFERT_SIZE = 30
-# Largest absolute value of an entry: the primes a signature lifts over grow with it.
+# Largest absolute value of an entry: the modulus of a signature grows with it.
 MAX_SEIFERT_ENTRY = 1 << 62
 
 

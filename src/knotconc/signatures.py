@@ -7,8 +7,8 @@ form
     H(omega) = (1 - omega) V + (1 - conj(omega)) V^T.
 
 We evaluate it exactly, from the nested principal minors of H(zeta) at the
-generator zeta of Q(zeta_q), computed modulo primes and lifted to Z[zeta].
-No floating point number is used anywhere.
+generator zeta of Q(zeta_q), computed modulo a product of primes and read
+back into Z[zeta].  No floating point number is used anywhere.
 
 Minors and signatures.  Take the indices in the order of a pivot plan, a
 sequence of 1x1 pivots and 2x2 blocks, and let D_k be the k-th leading
@@ -16,14 +16,14 @@ principal minor of H(zeta) in that order (D_0 = 1).  Each D_k is an
 element of Z[zeta], and it is real, since H(zeta) is Hermitian.  V is
 rational, so the minors of H(zeta^j) are the Galois conjugates
 sigma_j(D_k), whose signs ``Cyclotomic.sign(j)`` certifies.  The plan makes
-every D_k nonzero except, possibly, the inner minor D_(k+1) of a 2x2 block
-(k+1, k+2), and a nonzero element of the field is nonzero in every
-embedding.  So the Sylvester-Jacobi rule gives
+every D_k nonzero except the inner minor D_(k+1) of a 2x2 block
+(k+1, k+2), which is 0, and a nonzero element of the field is nonzero in
+every embedding.  So the Sylvester-Jacobi rule gives
 
     sigma_K(omega^j) = sum over k = 1..n of s(D_(k-1)) s(D_k),
 
-with s the sign of sigma_j(.), and s(0) = 0.  An inner minor that is
-exactly 0 adds 0 to this sum, which is Frobenius' rule: the block's Schur
+with s the sign of sigma_j(.), and s(0) = 0.  The inner minor adds 0 to
+this sum, which is Frobenius' rule: the block's Schur
 complement is [[0, b], [conj(b), d]] with b != 0, whose determinant
 -|b|^2 is negative, so the block has one positive and one negative
 eigenvalue.  H(zeta^(q-j)) is the transpose of H(zeta^j) and has the same
@@ -31,47 +31,63 @@ minors, so the roots j and q - j have the same signature: only j <= q/2
 are signed.
 
 Residues.  Each prime p = 1 (mod 2q) splits completely in Z[zeta]: with r
-of order q modulo p, reducing modulo the prime above p where zeta = r^e
-maps D_k to the minor of the integer matrix H(r^e) mod p.  The elimination
-runs modulo p at e = 1..q//2 in lockstep; H(r^(-e)) = H(r^e)^T has the same
-principal minors, so these roots cover all q - 1 of them.  The primes are
-found lazily below 2^62 and cached per q; ``cyclotomic.is_prime``
-(Miller-Rabin with the first twelve primes as bases) decides primality
-exactly below 3.18e23, far above them.
+of order q modulo p, pZ[zeta] is the product of the q - 1 primes
+(p, zeta - r^e), and reducing modulo the one for e maps D_k to the minor
+of the integer matrix H(r^e) mod p.  The primes are found lazily below
+2^62 and cached per q; ``cyclotomic.is_prime`` (Miller-Rabin with the
+first twelve primes as bases) decides primality exactly below 3.18e23,
+far above them.  They are used together: with N = p_1 ... p_k and R = r_i
+(mod p_i) for each i, by the Chinese remainder theorem, R has order q
+modulo every p_i and Z/N is the product of the fields F_(p_i).  So one
+elimination modulo N at zeta = R^e, e = 1..q//2 in lockstep, gives the
+residues at every p_i at once.  H(R^(-e)) = H(R^e)^T has the same
+principal minors, so these roots cover all q - 1 of them.
 
-The plan.  At the first prime the plan takes, at each step, the first
-diagonal entry of the Schur complement that is nonzero at every root, or
-failing that the first 2x2 principal block whose determinant is.  A
-nonzero residue proves a nonzero minor, so every pivot of the plan is
-exactly nonzero.  Later primes follow the same plan; a prime at which one
-of its pivots vanishes (an unlucky prime, which divides the norm of that
-pivot) is skipped, and so is a prime at which no plan can be made.
+The modulus.  |H_rc(omega)| <= 2(|V_rc| + |V_cr|) at every root of unity,
+so by Hadamard's inequality every minor of H, in every embedding, is at
+most B = prod over rows r of max(1, ||row_r||) in modulus, where row_r is
+the vector of those entry bounds.  N is the product of the fewest primes,
+largest first, with N > 4B.
+
+Exact zeros.  Along the elimination, each entry of a Schur complement is a
+minor M of H over the last pivot minor D_k, and each 2x2 principal
+determinant of it is a principal minor M of H over D_k (Sylvester's
+identity); D_k is a unit mod N.  The values mod N of an entry at R^e and
+of its transpose entry at R^e are those of M at R^e and R^(-e), and a
+principal minor is real, so its values at R^e and R^(-e) agree.  If all
+of them are 0, M lies in pZ[zeta] for each p dividing N, so M = N M' with
+M' in Z[zeta]; were M nonzero, |Norm M| >= N^(q-1) > B^(q-1) >= |Norm M|.
+So M is exactly 0, and a value that is not 0 at some root proves M != 0.
+
+The plan.  At each step the plan takes the first diagonal entry of the
+Schur complement that is not 0 mod N at every root, or failing that the
+first 2x2 principal block whose determinant is not: the first that are
+exactly nonzero, so the plan depends on H alone.  The elimination divides
+by every pivot, so each must be a unit mod N at every root.  A pivot that
+shares a factor with N names, by the gcd, the primes that divide its norm
+(unlucky primes): they are dropped, the next primes are added until
+N > 4B again, and the elimination starts over.  The plan's pivots are
+finitely many and nonzero, so only finitely many primes are ever dropped.
+When no diagonal entry and no 2x2 principal determinant of a Schur
+complement is nonzero, the complement is 0, since a Hermitian block
+[[0, b], [conj(b), 0]] has determinant -|b|^2.  Then H(zeta) is singular
+and ``SeifertMatrixError`` is raised.
 
 Nondegeneracy.  H(zeta) = (1 - zeta)(V - conj(zeta) V^T).  Were det H(zeta)
 0, conj(zeta) would be a root of det(V - t V^T), so Phi_q would divide it
 in Z[t] and q = Phi_q(1) would divide det(V - V^T), which ``SeifertMatrix``
-makes +/-1.  So H(zeta) is nonsingular, and so is each Schur complement on
-the way; one with a zero diagonal has an entry b != 0, and a block
-[[0, b], [conj(b), 0]] of determinant -|b|^2.  The pivot rules thus make a
-plan over Q(zeta), which the residues follow at every prime that divides
-none of the finitely many norms met on the way: only finitely many primes
-make no plan, and the lift ends.
+makes +/-1.  So H(zeta) is nonsingular, and that error is never raised
+for a Seifert matrix.
 
 Read-back.  With D = sum c_i zeta^i over i = 0..q-2, Tr(zeta^m) is q - 1
 when q divides m and -1 otherwise, so
 
     c_i = (Tr(D zeta^(-i)) - Tr(D zeta)) / q,
 
-and modulo p each trace is the sum over e = 1..q-1 of D(r^e) r^(-ei), with
-D(r^(q-e)) = D(r^e).
-
-CRT size.  |H_rc(omega)| <= 2(|V_rc| + |V_cr|) at every root of unity, so
-by Hadamard's inequality every principal minor, in every embedding, is at
-most B = prod over rows r of max(1, ||row_r||) in modulus, where row_r is
-the vector of those entry bounds.  A trace is a sum of q - 1 embeddings, so
-|c_i| <= 2 (q - 1) B / q < 2B.  The residues are combined by the Chinese
-remainder theorem until the modulus M exceeds 4B, and each c_i is the
-representative of its class in (-M/2, M/2).
+and modulo N each trace is the sum over e = 1..q-1 of D(R^e) R^(-ei), with
+D(R^(q-e)) = D(R^e).  A trace is a sum of q - 1 embeddings, so
+|c_i| <= 2 (q - 1) B / q < 2B, and c_i is the representative of its class
+in (-N/2, N/2).
 
 The total over all nontrivial q-th roots,
 
@@ -84,10 +100,11 @@ symmetry sigma_K(omega) = sigma_K(conj(omega)).
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 from .cyclotomic import Cyclotomic, check_prime, is_prime
-from .seifert import SeifertMatrix
+from .seifert import SeifertMatrix, SeifertMatrixError
 
 # the primes used lie just below 2^_PRIME_BITS
 _PRIME_BITS = 62
@@ -119,71 +136,82 @@ def _prime(q: int, i: int) -> tuple[int, int]:
 def _hadamard_square(rows) -> int:
     """B^2, where B = prod over rows r of max(1, ||row_r||) and row_r holds
     the bounds 2(|V_rc| + |V_cr|) of |H_rc| at every root of unity: every
-    principal minor of H, in every embedding, is at most B in modulus."""
+    minor of H, in every embedding, is at most B in modulus."""
     out = 1
     for row, column in zip(rows, zip(*rows)):
         out *= max(1, sum(4 * (abs(a) + abs(b)) ** 2 for a, b in zip(row, column)))
     return out
 
 
-def _forms_mod(rows, q: int, p: int, r: int) -> list[list[list[int]]]:
-    """The integer matrices H(r^e) mod p, e = 1..q//2."""
+def _modulus(q: int, bound: int, unlucky: int) -> tuple[int, int]:
+    """(N, R): N the product of the fewest largest primes p = 1 (mod 2q)
+    that do not divide ``unlucky`` with N^2 > bound, and R the residue mod
+    N that is, mod each p, its root of order q."""
+    n, root, i = 1, 0, 0
+    while n * n <= bound:
+        p, r = _prime(q, i)
+        i += 1
+        if unlucky % p:
+            root += n * ((r - root) * pow(n, -1, p) % p)
+            n *= p
+    return n, root
+
+
+def _forms_mod(rows, q: int, n: int, root: int) -> list[list[list[int]]]:
+    """The integer matrices H(root^e) mod n, e = 1..q//2."""
     out = []
     for e in range(1, q // 2 + 1):
-        x = pow(r, e, p)
-        a, b = 1 - x, 1 - pow(x, -1, p)
-        out.append([[(v * a + w * b) % p for v, w in zip(row, column)]
+        x = pow(root, e, n)
+        a, b = 1 - x, 1 - pow(x, -1, n)
+        out.append([[(v * a + w * b) % n for v, w in zip(row, column)]
                     for row, column in zip(rows, zip(*rows))])
     return out
 
 
-def _plan_step(forms: list[list[list[int]]], p: int) -> tuple[int, ...] | None:
-    """The first diagonal position of the Schur complement that is nonzero
+def _plan_step(forms: list[list[list[int]]], n: int) -> tuple[int, ...] | None:
+    """The first diagonal position of the Schur complement that is not 0
     at every root, else the first 2x2 principal block whose determinant
-    is, else None."""
-    n = len(forms[0])
-    for i in range(n):
-        if all(m[i][i] for m in forms):
+    is not, else None."""
+    size = len(forms[0])
+    for i in range(size):
+        if any(m[i][i] for m in forms):
             return (i,)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if all((m[i][i] * m[j][j] - m[i][j] * m[j][i]) % p for m in forms):
+    for i in range(size):
+        for j in range(i + 1, size):
+            if any((m[i][i] * m[j][j] - m[i][j] * m[j][i]) % n for m in forms):
                 return (i, j)
     return None
 
 
-def _eliminate(forms: list[list[list[int]]], p: int, plan: list | None):
-    """(plan, minors): the residues mod p of the nested principal minors
-    D_1..D_n at each root, one list over the roots per minor, along a
-    pivot plan of Schur-complement positions, (i,) for a 1x1 pivot and
-    (i, j) with i < j for a 2x2 block.  The plan is made here when
-    ``plan`` is None and followed otherwise.  ``forms`` is consumed.
-    None when no plan can be made, or a planned pivot vanishes mod p."""
-    making = plan is None
-    if making:
-        plan = []
-    steps = iter(plan)
+def _eliminate(forms: list[list[list[int]]], n: int) -> list[list[int]] | int:
+    """The residues mod n of the nested principal minors D_1, D_2, ... at
+    each root, one list over the roots per minor, along the pivot plan of
+    ``_plan_step``: (i,) for a 1x1 pivot and (i, j) with i < j for a 2x2
+    block.  ``forms`` is consumed.  A pivot that is not a unit mod n stops
+    it and its gcd with n, the product of the primes of n that divide the
+    pivot, is returned instead.  Raises ``SeifertMatrixError`` when no
+    pivot is left."""
     dk = [1] * len(forms)  # the last minor at each root
     minors = []
     while forms[0]:
-        pivot = _plan_step(forms, p) if making else next(steps)
+        pivot = _plan_step(forms, n)
         if pivot is None:
-            return None
-        if making:
-            plan.append(pivot)
+            raise SeifertMatrixError("degenerate form: H(zeta) is singular, so the rows "
+                                     "are not a knot's Seifert matrix")
         if len(pivot) == 1:
             (i,) = pivot
             for e, m in enumerate(forms):
                 row = m.pop(i)
                 a = row.pop(i)
-                if not a:
-                    return None
-                inv = pow(a, -1, p)
+                try:
+                    inv = pow(a, -1, n)
+                except ValueError:  # a shares a factor with n
+                    return gcd(a, n)
                 for k, s in enumerate(m):
-                    f = s.pop(i) * inv % p
+                    f = s.pop(i) * inv % n
                     if f:
-                        m[k] = [(y - f * z) % p for y, z in zip(s, row)]
-                dk[e] = dk[e] * a % p
+                        m[k] = [(y - f * z) % n for y, z in zip(s, row)]
+                dk[e] = dk[e] * a % n
             minors.append(list(dk))
         else:
             i, j = pivot
@@ -192,43 +220,38 @@ def _eliminate(forms: list[list[list[int]]], p: int, plan: list | None):
                 rj, ri = m.pop(j), m.pop(i)
                 b, a = ri.pop(j), ri.pop(i)
                 d, c = rj.pop(j), rj.pop(i)
-                det = (a * d - b * c) % p
-                if not det:
-                    return None
-                inv = pow(det, -1, p)
+                det = (a * d - b * c) % n
+                try:
+                    inv = pow(det, -1, n)
+                except ValueError:
+                    return gcd(det, n)
                 # row s minus (s_i, s_j) S^(-1) (row i; row j), S = [[a, b], [c, d]]
                 for k, s in enumerate(m):
                     y, x = s.pop(j), s.pop(i)
-                    u, v = (x * d - y * c) * inv % p, (y * a - x * b) * inv % p
+                    u, v = (x * d - y * c) * inv % n, (y * a - x * b) * inv % n
                     if u or v:
-                        m[k] = [(t - u * g - v * w) % p for t, g, w in zip(s, ri, rj)]
-                inner.append(dk[e] * a % p)
-                dk[e] = dk[e] * det % p
+                        m[k] = [(t - u * g - v * w) % n for t, g, w in zip(s, ri, rj)]
+                inner.append(dk[e] * a % n)
+                dk[e] = dk[e] * det % n
             minors += [inner, list(dk)]
-    return plan, minors
+    return minors
 
 
-def _read_back(values: list[list[int]], q: int, p: int, r: int) -> list[list[int]]:
-    """The power-basis coefficients mod p of real elements D of Z[zeta]
-    from their values mod p at zeta = r^e, e = 1..q//2:
+def _read_back(values: list[list[int]], q: int, n: int, root: int) -> list[list[int]]:
+    """The power-basis coefficients mod n of real elements D of Z[zeta]
+    from their values mod n at zeta = root^e, e = 1..q//2:
     c_i = (T_i - T_(q-1)) / q, where T_i = Tr(D zeta^(-i)) is the sum over
-    e = 1..q-1 of D(r^e) r^(-ei), and D(r^(q-e)) = D(r^e)."""
-    power = [pow(r, k, p) for k in range(q)]
-    # the weight of D(r^e) in T_i; e = q - e only for the root -1 at q = 2
+    e = 1..q-1 of D(root^e) root^(-ei), and D(root^(q-e)) = D(root^e)."""
+    power = [pow(root, k, n) for k in range(q)]
+    # the weight of D(root^e) in T_i; e = q - e only for the root -1 at q = 2
     weights = [[power[-e * i % q] + (power[e * i % q] if 2 * e != q else 0)
                 for e in range(1, q // 2 + 1)] for i in range(q)]
-    inv_q = pow(q, -1, p)
+    inv_q = pow(q, -1, n)
     out = []
     for vals in values:
         t = [sum(map(mul, vals, row)) for row in weights]
-        out.append([(x - t[-1]) * inv_q % p for x in t[:-1]])
+        out.append([(x - t[-1]) * inv_q % n for x in t[:-1]])
     return out
-
-
-def _crt(xs: list[int], m: int, cs: list[int], p: int) -> list[int]:
-    """The residues mod m*p that are xs mod m and cs mod p."""
-    inv = pow(m, -1, p)
-    return [x + m * ((c - x) * inv % p) for x, c in zip(xs, cs)]
 
 
 def _symmetric(xs: list[int], m: int) -> list[int]:
@@ -238,22 +261,18 @@ def _symmetric(xs: list[int], m: int) -> list[int]:
 
 def _principal_minors(rows, q: int) -> list[Cyclotomic]:
     """The nested principal minors D_1..D_n of H(zeta) for the rows of a
-    Seifert matrix and prime q, in the order of one pivot plan, exact in
-    Z[zeta]."""
-    bound = 16 * _hadamard_square(rows)  # the modulus M must exceed 4B
-    plan, lifted, modulus = None, [[0] * (q - 1) for _ in rows], 1
-    i = 0
-    while modulus * modulus <= bound:
-        p, r = _prime(q, i)
-        i += 1
-        out = _eliminate(_forms_mod(rows, q, p, r), p, plan)
-        if out is None:
+    Seifert matrix and prime q, in the order of the pivot plan, exact in
+    Z[zeta], from one elimination modulo N > 4B.  Rows whose H(zeta) is
+    singular, which no Seifert matrix has, raise ``SeifertMatrixError``."""
+    bound = 16 * _hadamard_square(rows)  # N must exceed 4B
+    unlucky = 1  # the product of the primes dropped so far
+    while True:
+        n, root = _modulus(q, bound, unlucky)
+        minors = _eliminate(_forms_mod(rows, q, n, root), n)
+        if isinstance(minors, int):
+            unlucky *= minors
             continue
-        plan, minors = out
-        lifted = [_crt(x, modulus, c, p) for x, c in zip(lifted, _read_back(minors, q, p, r))]
-        modulus *= p
-    return [Cyclotomic(q, _symmetric(c, modulus)) for c in lifted]
-
+        return [Cyclotomic(q, _symmetric(c, n)) for c in _read_back(minors, q, n, root)]
 
 def lt_signatures(V: SeifertMatrix, q: int) -> tuple[int, ...]:
     """(sigma_K(omega^1), ..., sigma_K(omega^(q-1))) for omega =

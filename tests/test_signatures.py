@@ -7,9 +7,9 @@ import pytest
 
 from knotconc.cyclotomic import MAX_Q, Cyclotomic, is_prime
 from knotconc.ledger import load_seed_ledger
-from knotconc.seifert import SeifertMatrix, two_strand_torus_matrix
+from knotconc.seifert import SeifertMatrix, SeifertMatrixError, two_strand_torus_matrix
 from knotconc.signatures import (
-    _eliminate,
+    _forms_mod,
     _hadamard_square,
     _prime,
     _principal_minors,
@@ -138,33 +138,54 @@ def test_lt_signatures_match_reference_elimination():
     assert lt_signatures(V, 31) == reference_signatures(V, 31)
 
 
+def spy_moduli(monkeypatch):
+    """The (N, R) of every elimination ``_principal_minors`` starts, in
+    order: the last one produced the minors."""
+    seen = []
+
+    def spied(rows, q, n, root):
+        seen.append((n, root))
+        return _forms_mod(rows, q, n, root)
+
+    monkeypatch.setattr("knotconc.signatures._forms_mod", spied)
+    return seen
+
+
+def used_primes(n, q):
+    """The primes of ``_prime(q, .)`` that divide a modulus n in which none
+    was dropped, largest first."""
+    return [p for p, _ in (_prime(q, i) for i in range(n.bit_length() // 61 + 1))
+            if n % p == 0]
+
+
+def assert_pivots_are_units(minors, q, n, root):
+    """No factor of N divides a pivot: every minor that is not exactly 0 is a
+    unit mod N at every root R^e (the pivots are quotients of such minors),
+    and the inner minors of 2x2 blocks are 0 mod N."""
+    for d in minors:
+        for e in range(1, q):
+            value = sum(c * pow(root, e * i, n) for i, c in enumerate(d.num)) % n
+            assert (value == 0) if d.is_zero() else math.gcd(value, n) == 1, (d, e)
+
+
 def test_pivot_vanishing_mod_a_prime_in_use(monkeypatch):
-    # an entry divisible by the first prime keeps that pivot out of the
-    # plan; one divisible by the second prime makes that prime skipped
-    calls = []
-
-    def spied(forms, p, plan):
-        out = _eliminate(forms, p, plan)
-        calls.append((p, out))
-        return out
-
-    monkeypatch.setattr("knotconc.signatures._eliminate", spied)
+    # an entry equal to the first prime, or to minus the second, makes the
+    # first pivot a multiple of that prime: it is dropped and the
+    # elimination starts over once, at a modulus of two other primes
+    moduli = spy_moduli(monkeypatch)
     base = random_seifert(random.Random(39), 2)
     for q in (2, 3, 7):
         first, second = _prime(q, 0)[0], _prime(q, 1)[0]
-        for entry in (first, -second):
+        for entry, unlucky in ((first, first), (-second, second)):
             rows = [list(row) for row in base.rows]
             rows[0][0] = entry
             V = SeifertMatrix.from_rows(rows)
-            calls.clear()
+            moduli.clear()
+            minors = _principal_minors(V.rows, q)
+            assert [n % unlucky == 0 for n, _ in moduli] == [True, False], (q, entry)
+            assert moduli[-1][0] > 1 << 64  # still more than one prime
+            assert_pivots_are_units(minors, q, *moduli[-1])
             assert lt_signatures(V, q) == reference_signatures(V, q), (q, entry)
-            plans = [out[0] for p, out in calls if out is not None]
-            if entry == first:
-                assert calls[0][0] == first and plans[0][0] != (0,)
-            else:
-                assert plans[0][0] == (0,)
-                assert [p for p, out in calls if out is None] == [second]
-            assert len(plans) >= 2  # a lift over more than one prime
 
 
 def test_primes_split_with_a_root_of_order_q():
@@ -178,53 +199,58 @@ def test_primes_split_with_a_root_of_order_q():
 
 def test_block_pivot_vanishing_at_a_later_prime(monkeypatch):
     # H(-1) = 2(V + V^T) = [[0, 2p], [2p, 0]] for the second prime p: the
-    # first prime plans the 2x2 block (0, 1), whose determinant -4p^2
-    # vanishes mod p, so the second prime is skipped and the lift goes on
-    calls = []
-
-    def spied(forms, p, plan):
-        out = _eliminate(forms, p, plan)
-        calls.append((p, out))
-        return out
-
-    monkeypatch.setattr("knotconc.signatures._eliminate", spied)
+    # plan opens with the 2x2 block (0, 1), whose determinant -4p^2 shares
+    # p with the first modulus, so p is dropped and the elimination starts
+    # over once
+    moduli = spy_moduli(monkeypatch)
     p = _prime(2, 1)[0]
     V = SeifertMatrix.from_rows([[0, (p + 1) // 2], [(p - 1) // 2, 0]])
+    minors = _principal_minors(V.rows, 2)
+    assert [n % p == 0 for n, _ in moduli] == [True, False]
+    assert minors[0].is_zero() and not minors[1].is_zero()
+    assert_pivots_are_units(minors, 2, *moduli[-1])
     assert lt_signatures(V, 2) == reference_signatures(V, 2)
-    assert calls[0][0] == _prime(2, 0)[0] and calls[0][1][0] == [(0, 1)]
-    assert calls[1] == (p, None)
-    assert len(calls) > 2 and all(out is not None for _, out in calls[2:])
 
 
 def test_no_plan_at_a_prime_is_skipped(monkeypatch):
     # V_ji = V_ij / r (mod p) makes H_ji(r) vanish mod p: the circulant
     # below has every 2x2 principal determinant 0 mod the first prime but
-    # det H = H_01 H_12 H_20 != 0, so that prime makes no plan and is
-    # skipped, and a later prime makes one
-    calls = []
-
-    def spied(forms, p, plan):
-        made = plan is None
-        out = _eliminate(forms, p, plan)
-        calls.append((p, made, out))
-        return out
-
-    monkeypatch.setattr("knotconc.signatures._eliminate", spied)
+    # not exactly, so the plan's first block shares that prime with the
+    # first modulus; it is dropped and the elimination starts over once
+    moduli = spy_moduli(monkeypatch)
     q = 3
     p, r = _prime(q, 0)
     s = pow(r, -1, p)
     V = SimpleNamespace(rows=((0, 1, s), (s, 0, 1), (1, s, 0)))
     minors = _principal_minors(V.rows, q)
-    assert calls[0] == (p, True, None)
-    assert any(made and out is not None for _, made, out in calls[1:])
+    assert [n % p == 0 for n, _ in moduli] == [True, False]
+    assert_pivots_are_units(minors, q, *moduli[-1])
     signs = [1] + [d.sign(1) for d in minors]
     assert sum(a * b for a, b in zip(signs, signs[1:])) == reference_signatures(V, q)[0]
 
 
+def test_singular_forms_raise_at_once(monkeypatch):
+    # once N > 4B, a Schur complement entry or 2x2 principal determinant
+    # that is 0 mod N at every root is exactly 0, so a singular H(zeta)
+    # raises at the first modulus instead of dropping primes without end.
+    # The 4x4 V is symmetric, so det(V - V^T) = 0, and its row 1 is twice
+    # its row 0: two pivots leave a zero Schur complement
+    moduli = spy_moduli(monkeypatch)
+    for rows in (((0, 0), (0, 0)),
+                 ((1, 2, 0, 1), (2, 4, 0, 2), (0, 0, 1, 1), (1, 2, 1, 2))):
+        for q in (2, 3):
+            moduli.clear()
+            with pytest.raises(SeifertMatrixError) as info:
+                _principal_minors(rows, q)
+            assert str(info.value) == ("degenerate form: H(zeta) is singular, so the rows "
+                                       "are not a knot's Seifert matrix")
+            assert len(moduli) == 1, (rows, q)
+
+
 def test_forms_at_prime_order_roots_are_nondegenerate():
     # det(V - V^T) = +/-1 keeps Phi_q from dividing the Alexander
-    # polynomial, so the last minor det H(zeta) is never 0 and the lift,
-    # which skips each prime that makes no plan, ends
+    # polynomial, so the last minor det H(zeta) is never 0 and no Seifert
+    # matrix makes the elimination raise
     rng = random.Random(43)
     seed = [V for V in load_seed_ledger().atoms.values() if V is not None]
     assert len(seed) == 12 and seed[0] == SeifertMatrix(())  # no minors to check
@@ -262,17 +288,9 @@ def test_hadamard_square_bounds_every_minor():
 
 
 def test_lift_stops_at_the_first_modulus_past_4b(monkeypatch):
-    # the lift multiplies primes until M > 4B and no further; with B just
+    # the modulus multiplies primes until N > 4B and no further; with B just
     # under p1/2 (B^2 = 64 x^2 + 16 for x = p1 // 16) one prime is too few
-    used = []
-
-    def spied(forms, p, plan):
-        out = _eliminate(forms, p, plan)
-        if out is not None:
-            used.append(p)
-        return out
-
-    monkeypatch.setattr("knotconc.signatures._eliminate", spied)
+    moduli = spy_moduli(monkeypatch)
     rng = random.Random(42)
     q = 3
     x = _prime(q, 0)[0] // 16
@@ -280,13 +298,42 @@ def test_lift_stops_at_the_first_modulus_past_4b(monkeypatch):
     cases += [random_seifert(rng, g, span=9) for g in (2, 5, 8)]
     counts = []
     for V in cases:
-        used.clear()
+        moduli.clear()
         _principal_minors(V.rows, q)
+        ((n, _),) = moduli  # one elimination
+        used = used_primes(n, q)
+        assert math.prod(used) == n
         bound = 16 * _hadamard_square(V.rows)
-        modulus = math.prod(used)
-        assert modulus ** 2 > bound >= (modulus // used[-1]) ** 2, V.rows
+        assert n ** 2 > bound >= (n // used[-1]) ** 2, V.rows
         counts.append(len(used))
     assert counts[0] == 2
+
+
+def test_multi_prime_moduli_match_references(monkeypatch):
+    # bounds that need two primes (genus 8-10 at span 3, genus 5-9 at span
+    # 9), three (genus 10 at span 9) and five (genus 3, entries near 2^40)
+    moduli = spy_moduli(monkeypatch)
+    rng = random.Random(44)
+    cases = [random_seifert(rng, g, span=3) for g in (8, 10)]
+    cases += [random_seifert(rng, g, span=9) for g in (5, 9, 10)]
+    cases.append(random_seifert(rng, 3, span=1 << 40))
+    counts, checked = set(), 0
+    for V in cases:
+        for q in (2, 3, 7):
+            moduli.clear()
+            minors = _principal_minors(V.rows, q)
+            ((n, root),) = moduli
+            counts.add(len(used_primes(n, q)))
+            assert_pivots_are_units(minors, q, n, root)
+            values = lt_signatures(V, q)
+            assert values == reference_signatures(V, q), (V.rows, q)
+            for j, value in enumerate(values, start=1):
+                approx = float_lt_signature(V, q, j)
+                if approx is not None:
+                    assert value == approx, (V.rows, q, j)
+                    checked += 1
+    assert counts == {2, 3, 5}, counts
+    assert checked >= 30
 
 
 def test_conjugation_symmetry_random():
