@@ -242,8 +242,14 @@ class Cyclotomic:
         return not any(self.num)
 
     def is_real(self) -> bool:
+        """Whether the element is fixed by conjugation.  With c_i its
+        coefficients, the conjugate is c_0 - c_1 + sum over k = 1..q-2 of
+        (c_(q-k) - c_1) zeta^k, reading c_(q-1) as 0 (zeta^(-1) = zeta^(q-1)
+        is folded), so it equals the element exactly when c_1 = 0 and
+        c_i = c_(q-i) for 2 <= i <= q-2."""
         if self._real is None:
-            self._real = self.conjugate() == self
+            num = self.num
+            self._real = not any(num[1:2]) and num[2:] == num[:1:-1]
         return self._real
 
     def __eq__(self, other: object) -> bool:

@@ -73,6 +73,19 @@ complement is nonzero, the complement is 0, since a Hermitian block
 [[0, b], [conj(b), 0]] has determinant -|b|^2.  Then H(zeta) is singular
 and ``SeifertMatrixError`` is raised.
 
+Lazy reduction.  The elimination holds integers congruent mod N to the
+entries and reduces mod N only where a residue is read: the entries of a
+pivot and of its row or rows, which then multiply; each row's factor f (or
+u and v); the diagonal entries and 2x2 determinants the plan tests for 0;
+and each minor D_k.  So every residue, plan, gcd and minor is what
+reducing every entry would give.  An entry as built, (1 - x) V_rc +
+(1 - x^(-1)) V_cr with x and x^(-1) in [0, N), is below
+N (|V_rc| + |V_cr|) <= N B / 2 < N^2 / 8 in modulus.  A 1x1 step subtracts
+f z with 0 <= f, z < N from it, and a 2x2 step u g + v w: less than N^2
+per index eliminated.  With k indices eliminated every entry is below
+(k + 1/8) N^2, about 2 log2 N + log2 k bits, and an update costs a
+multiplication and a subtraction but no division by N.
+
 Nondegeneracy.  H(zeta) = (1 - zeta)(V - conj(zeta) V^T).  Were det H(zeta)
 0, conj(zeta) would be a root of det(V - t V^T), so Phi_q would divide it
 in Z[t] and q = Phi_q(1) would divide det(V - V^T), which ``SeifertMatrix``
@@ -100,8 +113,9 @@ symmetry sigma_K(omega) = sigma_K(conj(omega)).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .cyclotomic import Cyclotomic, check_prime, is_prime
 from .seifert import SeifertMatrix, SeifertMatrixError
@@ -137,9 +151,11 @@ def _hadamard_square(rows) -> int:
     """B^2, where B = prod over rows r of max(1, ||row_r||) and row_r holds
     the bounds 2(|V_rc| + |V_cr|) of |H_rc| at every root of unity: every
     minor of H, in every embedding, is at most B in modulus."""
+    absolute = [list(map(abs, row)) for row in rows]
     out = 1
-    for row, column in zip(rows, zip(*rows)):
-        out *= max(1, sum(4 * (abs(a) + abs(b)) ** 2 for a, b in zip(row, column)))
+    for row, column in zip(absolute, zip(*absolute)):
+        bounds = list(map(add, row, column))  # |V_rc| + |V_cr|
+        out *= max(1, 4 * sum(map(mul, bounds, bounds)))
     return out
 
 
@@ -158,23 +174,24 @@ def _modulus(q: int, bound: int, unlucky: int) -> tuple[int, int]:
 
 
 def _forms_mod(rows, q: int, n: int, root: int) -> list[list[list[int]]]:
-    """The integer matrices H(root^e) mod n, e = 1..q//2."""
+    """Integer matrices congruent mod n to H(root^e), e = 1..q//2, not
+    reduced: an entry is (1 - x) V_rc + (1 - x^(-1)) V_cr with x and x^(-1)
+    taken in [0, n), so it is below n (|V_rc| + |V_cr|) in modulus."""
+    pairs = [list(zip(row, column)) for row, column in zip(rows, zip(*rows))]
     out = []
     for e in range(1, q // 2 + 1):
-        x = pow(root, e, n)
-        a, b = 1 - x, 1 - pow(x, -1, n)
-        out.append([[(v * a + w * b) % n for v, w in zip(row, column)]
-                    for row, column in zip(rows, zip(*rows))])
+        a, b = 1 - pow(root, e, n), 1 - pow(root, q - e, n)
+        out.append([[v * a + w * b for v, w in row] for row in pairs])
     return out
 
 
 def _plan_step(forms: list[list[list[int]]], n: int) -> tuple[int, ...] | None:
     """The first diagonal position of the Schur complement that is not 0
-    at every root, else the first 2x2 principal block whose determinant
-    is not, else None."""
+    mod n at every root, else the first 2x2 principal block whose
+    determinant is not, else None."""
     size = len(forms[0])
     for i in range(size):
-        if any(m[i][i] for m in forms):
+        if any(m[i][i] % n for m in forms):
             return (i,)
     for i in range(size):
         for j in range(i + 1, size):
@@ -187,9 +204,10 @@ def _eliminate(forms: list[list[list[int]]], n: int) -> list[list[int]] | int:
     """The residues mod n of the nested principal minors D_1, D_2, ... at
     each root, one list over the roots per minor, along the pivot plan of
     ``_plan_step``: (i,) for a 1x1 pivot and (i, j) with i < j for a 2x2
-    block.  ``forms`` is consumed.  A pivot that is not a unit mod n stops
-    it and its gcd with n, the product of the primes of n that divide the
-    pivot, is returned instead.  Raises ``SeifertMatrixError`` when no
+    block.  ``forms`` is consumed; its entries are reduced mod n only where
+    they are read (see "Lazy reduction").  A pivot that is not a unit mod n
+    stops it and its gcd with n, the product of the primes of n that divide
+    the pivot, is returned instead.  Raises ``SeifertMatrixError`` when no
     pivot is left."""
     dk = [1] * len(forms)  # the last minor at each root
     minors = []
@@ -201,7 +219,7 @@ def _eliminate(forms: list[list[list[int]]], n: int) -> list[list[int]] | int:
         if len(pivot) == 1:
             (i,) = pivot
             for e, m in enumerate(forms):
-                row = m.pop(i)
+                row = [z % n for z in m.pop(i)]
                 a = row.pop(i)
                 try:
                     inv = pow(a, -1, n)
@@ -210,14 +228,15 @@ def _eliminate(forms: list[list[list[int]]], n: int) -> list[list[int]] | int:
                 for k, s in enumerate(m):
                     f = s.pop(i) * inv % n
                     if f:
-                        m[k] = [(y - f * z) % n for y, z in zip(s, row)]
+                        m[k] = [y - f * z for y, z in zip(s, row)]
                 dk[e] = dk[e] * a % n
             minors.append(list(dk))
         else:
             i, j = pivot
             inner = []
             for e, m in enumerate(forms):
-                rj, ri = m.pop(j), m.pop(i)
+                rj = [z % n for z in m.pop(j)]
+                ri = [z % n for z in m.pop(i)]
                 b, a = ri.pop(j), ri.pop(i)
                 d, c = rj.pop(j), rj.pop(i)
                 det = (a * d - b * c) % n
@@ -230,11 +249,22 @@ def _eliminate(forms: list[list[list[int]]], n: int) -> list[list[int]] | int:
                     y, x = s.pop(j), s.pop(i)
                     u, v = (x * d - y * c) * inv % n, (y * a - x * b) * inv % n
                     if u or v:
-                        m[k] = [(t - u * g - v * w) % n for t, g, w in zip(s, ri, rj)]
+                        m[k] = [t - u * g - v * w for t, g, w in zip(s, ri, rj)]
                 inner.append(dk[e] * a % n)
                 dk[e] = dk[e] * det % n
             minors += [inner, list(dk)]
     return minors
+
+
+@lru_cache(maxsize=32)
+def _weights(q: int, n: int, root: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The weight of D(root^e), e = 1..q//2, in T_i = Tr(D zeta^(-i)) mod n
+    for i = 0..q-1 (see ``_read_back``), and q^(-1) mod n.  Cached, since
+    one (q, N, R) serves every matrix whose bound needs the same primes."""
+    power = [pow(root, k, n) for k in range(q)]
+    # D(root^(q-e)) = D(root^e); e = q - e only for the root -1 at q = 2
+    return tuple(tuple(power[-e * i % q] + (power[e * i % q] if 2 * e != q else 0)
+                       for e in range(1, q // 2 + 1)) for i in range(q)), pow(q, -1, n)
 
 
 def _read_back(values: list[list[int]], q: int, n: int, root: int) -> list[list[int]]:
@@ -242,11 +272,7 @@ def _read_back(values: list[list[int]], q: int, n: int, root: int) -> list[list[
     from their values mod n at zeta = root^e, e = 1..q//2:
     c_i = (T_i - T_(q-1)) / q, where T_i = Tr(D zeta^(-i)) is the sum over
     e = 1..q-1 of D(root^e) root^(-ei), and D(root^(q-e)) = D(root^e)."""
-    power = [pow(root, k, n) for k in range(q)]
-    # the weight of D(root^e) in T_i; e = q - e only for the root -1 at q = 2
-    weights = [[power[-e * i % q] + (power[e * i % q] if 2 * e != q else 0)
-                for e in range(1, q // 2 + 1)] for i in range(q)]
-    inv_q = pow(q, -1, n)
+    weights, inv_q = _weights(q, n, root)
     out = []
     for vals in values:
         t = [sum(map(mul, vals, row)) for row in weights]

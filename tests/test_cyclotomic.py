@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotconc.cyclotomic import Cyclotomic, CyclotomicError, _cosines, is_prime
 
@@ -125,6 +126,30 @@ def test_galois_is_a_ring_map_fixing_the_reals():
             assert a.galois(1) == a
     with pytest.raises(CyclotomicError):
         Cyclotomic.one(5).galois(10)
+
+
+
+@st.composite
+def nearly_real_numerators(draw, q):
+    """q - 1 numerators, half of them made real (c_1 = 0 and c_i = c_(q-i))
+    and then, half of those, one coefficient moved off that pattern."""
+    num = draw(st.lists(st.integers(-4, 4), min_size=q - 1, max_size=q - 1))
+    if draw(st.booleans()):
+        num[1:2] = [0] * len(num[1:2])
+        for i in range(2, q - 1):
+            num[q - i] = num[i]
+        if q > 2 and draw(st.booleans()):
+            num[draw(st.integers(0, q - 2))] += draw(st.sampled_from((-1, 1)))
+    return num
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_is_real_is_conjugation_invariance(q, data):
+    num = data.draw(nearly_real_numerators(q))
+    a = Cyclotomic(q, num, data.draw(st.integers(1, 6)))
+    assert a.is_real() == (a.conjugate() == a), a
 
 
 PRECS = (64, 1024)

@@ -9,8 +9,11 @@ from knotconc.cyclotomic import MAX_Q, Cyclotomic, is_prime
 from knotconc.ledger import load_seed_ledger
 from knotconc.seifert import SeifertMatrix, SeifertMatrixError, two_strand_torus_matrix
 from knotconc.signatures import (
+    _eliminate,
     _forms_mod,
     _hadamard_square,
+    _modulus,
+    _plan_step,
     _prime,
     _principal_minors,
     lt_signature,
@@ -335,6 +338,143 @@ def test_multi_prime_moduli_match_references(monkeypatch):
     assert counts == {2, 3, 5}, counts
     assert checked >= 30
 
+
+
+def eager_forms(rows, q, n, root):
+    """H(root^e) mod n, e = 1..q//2, with every entry in [0, n)."""
+    out = []
+    for e in range(1, q // 2 + 1):
+        x = pow(root, e, n)
+        a, b = 1 - x, 1 - pow(x, -1, n)
+        out.append([[(v * a + w * b) % n for v, w in zip(row, column)]
+                    for row, column in zip(rows, zip(*rows))])
+    return out
+
+
+def eager_eliminate(forms, n):
+    """The reference for ``_eliminate``: the same plan and updates, with
+    every entry of every Schur complement reduced into [0, n)."""
+    dk, minors = [1] * len(forms), []
+    while forms[0]:
+        size = len(forms[0])
+        pivot = next(((i,) for i in range(size) if any(m[i][i] for m in forms)), None)
+        pivot = pivot or next(((i, j) for i in range(size) for j in range(i + 1, size)
+                               if any((m[i][i] * m[j][j] - m[i][j] * m[j][i]) % n
+                                      for m in forms)), None)
+        if pivot is None:
+            raise SeifertMatrixError("degenerate form")
+        if len(pivot) == 1:
+            (i,) = pivot
+            for e, m in enumerate(forms):
+                row = m.pop(i)
+                a = row.pop(i)
+                if math.gcd(a, n) > 1:
+                    return math.gcd(a, n)
+                inv = pow(a, -1, n)
+                for k, s in enumerate(m):
+                    f = s.pop(i) * inv % n
+                    m[k] = [(y - f * z) % n for y, z in zip(s, row)]
+                dk[e] = dk[e] * a % n
+            minors.append(list(dk))
+        else:
+            i, j = pivot
+            inner = []
+            for e, m in enumerate(forms):
+                rj, ri = m.pop(j), m.pop(i)
+                b, a = ri.pop(j), ri.pop(i)
+                d, c = rj.pop(j), rj.pop(i)
+                det = (a * d - b * c) % n
+                if math.gcd(det, n) > 1:
+                    return math.gcd(det, n)
+                inv = pow(det, -1, n)
+                for k, s in enumerate(m):
+                    y, x = s.pop(j), s.pop(i)
+                    u, v = (x * d - y * c) * inv % n, (y * a - x * b) * inv % n
+                    m[k] = [(t - u * g - v * w) % n for t, g, w in zip(s, ri, rj)]
+                inner.append(dk[e] * a % n)
+                dk[e] = dk[e] * det % n
+            minors += [inner, list(dk)]
+    return minors
+
+
+def unlucky_prime_rows():
+    """The adversarial rows of ``test_pivot_vanishing_mod_a_prime_in_use``
+    (q = 3) and ``test_no_plan_at_a_prime_is_skipped``, each with its q:
+    the first modulus of each holds a prime that divides a pivot."""
+    rows = [list(row) for row in random_seifert(random.Random(39), 2).rows]
+    rows[0][0] = _prime(3, 0)[0]
+    p, r = _prime(3, 0)
+    s = pow(r, -1, p)
+    return [(rows, 3), (((0, 1, s), (s, 0, 1), (1, s, 0)), 3)]
+
+
+# at q = 2 the 2x2 Schur complement left by four pivots opens with a
+# diagonal entry that is exactly 0 but held as a nonzero multiple of N: the
+# plan must reduce it before testing it
+LATER_ZERO_DIAGONAL = ((1, 0, 1, -1, 0, 1), (-1, 0, -1, 0, 0, -1), (1, -1, -1, 0, 1, 1),
+                       (-1, 0, -1, 0, 0, 1), (0, 0, 1, 0, 0, 0), (1, -1, 1, 1, -1, 1))
+
+
+def test_lazy_elimination_matches_eager_reference():
+    # the same pivots, minors and unlucky gcds as with every entry reduced:
+    # random forms at q <= 11, zero diagonals (2x2 blocks), entries in
+    # [-1, 1] (exact zeros in later Schur complements), moduli of up to
+    # three primes, and both unlucky-prime cases at their first and second
+    # moduli
+    rng = random.Random(46)
+    cases = [(random_seifert(rng, 1 + i % 6, span=(3, 9)[i % 2],
+                             zero_diagonal=i % 3 == 0).rows, (2, 3, 5, 7, 11)[i % 5])
+             for i in range(30)]
+    cases += [(random_seifert(rng, 2 + i % 3, span=1, zero_diagonal=i % 2 == 0).rows,
+               (2, 3, 5)[i % 3]) for i in range(30)]
+    cases.append((LATER_ZERO_DIAGONAL, 2))
+    cases += [(random_seifert(rng, 10, span=9, zero_diagonal=z).rows, q)
+              for z in (False, True) for q in (2, 3, 7)]
+    cases += unlucky_prime_rows()
+    counts, unlucky_cases = set(), 0
+    for rows, q in cases:
+        bound, unlucky = 16 * _hadamard_square(rows), 1
+        while True:
+            n, root = _modulus(q, bound, unlucky)
+            counts.add(len(used_primes(n, q)) if unlucky == 1 else 0)
+            lazy = _eliminate(_forms_mod(rows, q, n, root), n)
+            assert lazy == eager_eliminate(eager_forms(rows, q, n, root), n), (rows, q, n)
+            if not isinstance(lazy, int):
+                break
+            unlucky *= lazy
+        unlucky_cases += unlucky > 1
+    assert {1, 2, 3} <= counts, counts
+    assert unlucky_cases == 2
+
+
+def test_lazy_entries_stay_below_the_growth_bound(monkeypatch):
+    # an entry as built is below N (|V_rc| + |V_cr|) < N^2/8, and each
+    # eliminated index subtracts less than N^2, so with k indices eliminated
+    # every entry is below (k + 1/8) N^2; the bound is reached lazily, with
+    # entries outside [0, N)
+    steps = []
+
+    def spied(forms, n):
+        steps.append((len(forms[0]), n, max(abs(x) for m in forms for row in m for x in row),
+                      all(0 <= x < n for m in forms for row in m for x in row)))
+        return _plan_step(forms, n)
+
+    monkeypatch.setattr("knotconc.signatures._plan_step", spied)
+    rng = random.Random(47)
+    cases = [random_seifert(rng, g, span=9, zero_diagonal=z) for g in (3, 10) for z in (False, True)]
+    cases += [random_seifert(rng, 4, span=1 << 40)]
+    unreduced = 0
+    for V in cases:
+        for q in (2, 5, 11):
+            steps.clear()
+            _principal_minors(V.rows, q)
+            size, n, first, _ = steps[0]
+            assert first <= n * max(abs(a) + abs(b) for row, column in zip(V.rows, zip(*V.rows))
+                                    for a, b in zip(row, column))
+            for left, _, largest, reduced in steps:
+                assert 8 * largest < (8 * (size - left) + 1) * n * n, (V.rows, q, left)
+                unreduced += not reduced
+    assert unreduced > 100, unreduced
 
 def test_conjugation_symmetry_random():
     # the form of V^T at omega is H(conj(omega)), so V^T's values are V's
