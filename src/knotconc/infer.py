@@ -21,7 +21,8 @@ theta^(q) values, tightened by a monotone rule set until nothing changes:
 
 plus the concordance facts that slice summands and K + (-K) pairs do not
 change theta.  R1, R4, R5, R7 and R8 read only the ledger and live in
-``ledger_bounds``; R2, R3 and R6 read other bounds and live here.
+``ledger_bounds``, which gives them in lattice steps from one row of ledger
+values per signed atom; R2, R3 and R6 read other bounds and live here.
 
 The engine works in three steps.  It builds a finite universe of nodes: the
 reduced query and, for every node, its mirror, the two parts of each of its
@@ -57,7 +58,9 @@ nothing writes after the closure, with every other engine and thread.
 The unknot and every query that a relation reaches are closed on their own
 keys.
 
-Bounds are integers counting lattice steps 1/(q-1), at least 0.  Every rule
+Bounds are integers counting lattice steps 1/(q-1), at least 0; the
+ledger's rules arrive already rounded inward to steps, and a ``Fraction``
+appears only where an interval is returned or a line formatted.  Every rule
 is monotone (tighter inputs never give looser outputs), lower bounds only
 rise and upper bounds only fall, and a derived bound never passes the
 largest lower or the sum of the upper bounds the ledger gave: each bound
@@ -355,9 +358,9 @@ class InferenceEngine:
                 rng.shuffle(found)
             for lower, upper, why in found:
                 if lower is not None:
-                    self.set_lower(n, math.ceil(lower * step), why)
+                    self.set_lower(n, lower, why)
                 if upper is not None:
-                    self.set_upper(n, math.floor(upper * step), why)
+                    self.set_upper(n, upper, why)
             self.rule_r6(n)
         self._drain(rng)
         hi = self._hi[0]
@@ -554,33 +557,37 @@ def infer_theta(ledger: Ledger, expr: Key, q: int = 2,
 def infer_theta_m(ledger: Ledger, expr: Key, q: int, m: int) -> BoundInterval:
     """Bounds on the m-shifted invariant theta^(q)(K, m).
 
-    Exact when a full delta sequence of the mirror is available (ingested or
-    closed-form, R8); otherwise an interval from the m-shifted HF+ degree
-    bound (R7), the signature lower bound (R1, valid for every m), and
-    monotonicity theta(K, m) <= theta(K).
+    The engine runs on ``expr`` first, so an inconsistent ledger raises.
+    Then ``LedgerBounds.theta_m`` reads the reduced query at m.  The value is
+    exact when a full delta sequence of the mirror is available (ingested or
+    closed-form, R8); it cites only the facts R8 and the reduction read,
+    which is why that ``LedgerBounds`` is not the engine's.  Otherwise the
+    interval runs from the larger of 0 and the unrounded lower bounds of the
+    signature (R1, valid for every m) and the m-shifted HF+ degree bound
+    (R7), rounded up to a lattice step, to theta(K)'s upper end, by
+    monotonicity theta(K, m) <= theta(K); at m = 0 it is theta(K)'s interval.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    engine = InferenceEngine(ledger, q)
-    base = engine.run(expr)  # raises if the ledger is inconsistent here
-    query, rules = engine.nodes[0], engine.ledger_bounds
-    # the exact value cites only the facts it reads, not the engine run's
-    exact = LedgerBounds(ledger, q)
-    for value, _, _ in exact.r8(exact.reduce(expr), m):  # at most one
-        return BoundInterval(lower=value, upper=value,
+    base = InferenceEngine(ledger, q).run(expr)  # raises if the ledger is inconsistent here
+    # its own LedgerBounds: the exact value cites only the facts it reads,
+    # not the engine run's
+    rules = LedgerBounds(ledger, q)
+    exact, r1, r7 = rules.theta_m(rules.reduce(expr), m)
+    if exact is not None:
+        return BoundInterval(lower=exact, upper=exact,
                              justification=[f"exact delta sequence of the mirror with m = {m}"],
-                             provenance=dict(sorted(exact.provenance.items())))
+                             provenance=dict(sorted(rules.provenance.items())))
     if m == 0:
         # theta(K, 0) is theta(K): the whole rule set applies
         return base
     lower = Fraction(0)
     just = [f"theta(K, {m}) >= 0"]
-    for found, why in ((rules.r1_signature(query), "signature lower bound holds for every m"),
-                       (rules.r7(query, m), f"HF+ degree bound with m = {m}")):
-        for cand, _, _ in found:
-            if cand > lower:
-                lower = cand
-                just.append(f"{why}: >= {cand}")
+    for cand, why in ((r1, "signature lower bound holds for every m"),
+                      (r7, f"HF+ degree bound with m = {m}")):
+        if cand is not None and cand > lower:
+            lower = cand
+            just.append(f"{why}: >= {cand}")
     lower = Fraction(math.ceil(lower * (q - 1)), q - 1)
     upper = base.upper
     if upper is not None:

@@ -14,14 +14,30 @@ never a bound the engine derived, so the engine applies them once per key:
   R8  exact sequence:        a full delta sequence for the mirror pins
                              theta(K, m) exactly through the j-scan
 
-R7 and R8 bound the m-shifted invariant theta(K, m), and R1's lower bound
-holds for it at every m: the engine reads them at m = 0, where theta(K, 0)
-is theta(K), and ``infer.infer_theta_m`` at its own m.
+R4, R7 and R8 read single-atom keys.  R7 and R8 bound theta(K, m), and R1's
+lower bound holds for it at every m: ``bounds`` reads them at m = 0, where
+theta(K, 0) is theta(K), and ``theta_m`` (for ``infer.infer_theta_m``) at
+its own m.
+
+``bounds`` counts in lattice steps 1/(q-1), the engine's unit: theta lies on
+(1/(q-1)) Z, so a lower bound is rounded up to a step and an upper bound
+down.  With sigma^(q) even, R1 and R4 give -sigma^(q)/2 steps, R5
+1 - sigma^(q)/2 and R7 ell^(q)(-K) - floor(3 sigma^(q)/4).
+
+Each signed atom has one row, read once per query: its sigma^(q), g4 (or
+g4_upper), unknotting_upper and delta^(q) (delta_MO at q = 2,
+delta_q_jabuka otherwise), None where the ledger lacks one.  A key's
+additive quantities are the sums of its atoms' rows.  A row cites the fact
+behind each value it holds when it is read, even where a sum it enters is
+None.  That is exact: every signed atom of a universe is itself a node, and
+a node's bounds read all four values of its row anyway.  ``theta_m``'s
+exact value reads no row, so it cites only the delta sequence or family
+flag and the signatures it reads.
 
 The same object reduces a query to its concordance class and serves the
-ledger quantities the engine's other rules need.  It reads the ledger only
-through ``Ledger.quantity`` and records in ``provenance`` the fact behind
-each value it uses.
+unknotting bound that R6 reads.  It reads the ledger only through
+``Ledger.quantity``, records in ``provenance`` the fact behind each value it
+uses, and lives for one query.
 """
 
 from __future__ import annotations
@@ -34,8 +50,9 @@ from .knots import Key, SignedAtom, mirror_atoms
 from .ledger import FactValue, Ledger
 from .sequences import DeltaSequence, ell_lower_bound, theta_from_mirror_delta
 
-# (lower, upper, why): a bound on theta, None where the rule gives none
-Bound = tuple[Optional[Fraction], Optional[Fraction], str]
+# (lower, upper, why): a bound on theta in lattice steps, None where the
+# rule gives none
+Bound = tuple[Optional[int], Optional[int], str]
 
 
 class LedgerBounds:
@@ -43,7 +60,9 @@ class LedgerBounds:
         self.ledger = ledger
         self.q = q
         self.provenance: dict[str, str] = {}
-        self._atom_quantities: dict[tuple[str, SignedAtom], Optional[int]] = {}
+        self._kinds = ("sigma_q", "g4", "unknotting_upper",
+                       "delta_MO" if q == 2 else "delta_q_jabuka")
+        self._rows: dict[SignedAtom, tuple[Optional[int], ...]] = {}
 
     def _quantity(self, name: str, kind: str, mirror: bool = False) -> Optional[FactValue]:
         """A ledger quantity of one atom or its mirror at this q.  The fact
@@ -86,55 +105,22 @@ class LedgerBounds:
                 out.append((mirror_atoms(minus), mirror_atoms(plus)))
         return out
 
-    # -- additive quantities ------------------------------------------------
+    # -- rows ------------------------------------------------------------------
 
-    def _additive(self, key: Key, kind: str) -> Optional[int]:
-        """An additive ledger quantity of a connected sum: the sum over its
-        summands, or None if one of them lacks it.  Each summand is looked
-        up once.  Its facts are noted when it has a value, which notes what
-        summing key by key would, since the engine asks about every summand
-        of a key on its own too."""
-        total = 0
+    def _sums(self, key: Key) -> list[Optional[int]]:
+        """sigma^(q), g4, unknotting_upper and delta^(q) of a connected sum:
+        each the sum over its atoms' rows, or None if a row lacks it."""
+        rows = []
         for atom in key:
-            if (kind, atom) not in self._atom_quantities:
-                self._atom_quantities[(kind, atom)] = self._quantity(atom[0], kind, atom[1])
-            v = self._atom_quantities[(kind, atom)]
-            if v is None:
-                return None
-            total += v
-        return total
-
-    def sigma_q(self, key: Key) -> Optional[int]:
-        return self._additive(key, "sigma_q")
-
-    def delta_hom(self, key: Key) -> Optional[int]:
-        """Additive delta invariant: Manolescu-Owens for q = 2, the branched
-        q-cover d-invariant for odd q."""
-        return self._additive(key, "delta_MO" if self.q == 2 else "delta_q_jabuka")
+            row = self._rows.get(atom)
+            if row is None:
+                row = self._rows[atom] = tuple(
+                    [self._quantity(atom[0], kind, atom[1]) for kind in self._kinds])
+            rows.append(row)
+        return [None if None in col else sum(col) for col in zip(*rows, (0, 0, 0, 0))]
 
     def u_upper(self, key: Key) -> Optional[int]:
-        return self._additive(key, "unknotting_upper")
-
-    def mirror_delta_seq(self, key: Key) -> Optional[DeltaSequence]:
-        """Exact delta sequence of the mirror of a single-atom key, from an
-        ingested fact or from a closed-form family flag."""
-        if len(key) != 1:
-            return None
-        name, mirrored = key[0]
-        seq = self._quantity(name, "delta_seq", not mirrored)
-        if seq is not None:
-            return seq
-        sig_mirror = self.sigma_q(mirror_atoms(key))
-        if sig_mirror is None or self._closed_form(name) is None:
-            return None
-        return DeltaSequence.constant(-sig_mirror // 2)
-
-    def ell_mirror(self, key: Key) -> Optional[int]:
-        """ell^(q) of the mirror of a single-atom key."""
-        if len(key) != 1:
-            return None
-        name, mirrored = key[0]
-        return self._quantity(name, "ell_q", not mirrored)
+        return self._sums(key)[2]
 
     def _closed_form(self, name: str) -> Optional[str]:
         """The family whose closed form gives an atom's theta and delta
@@ -146,64 +132,65 @@ class LedgerBounds:
             return "L-space"
         return None
 
+    def _mirror_sequence(self, atom: SignedAtom) -> Optional[DeltaSequence]:
+        """Exact delta sequence of the mirror of an atom, from an ingested
+        fact or from a closed-form family flag."""
+        name, mirrored = atom
+        seq = self._quantity(name, "delta_seq", not mirrored)
+        if seq is not None:
+            return seq
+        sig_mirror = self._quantity(name, "sigma_q", not mirrored)
+        if sig_mirror is None or self._closed_form(name) is None:
+            return None
+        return DeltaSequence.constant(-sig_mirror // 2)
+
     # -- rules ----------------------------------------------------------------
 
     def bounds(self, key: Key) -> list[Bound]:
-        """What R1, R4, R5, R7 and R8 give at key, with R7 and R8 at m = 0."""
-        return (self.r1_signature(key) + self._r1_genus(key) + self._r4(key)
-                + self._r5(key) + self.r7(key, 0) + self.r8(key, 0))
-
-    def r1_signature(self, key: Key) -> list[Bound]:
-        """R1's lower bound; it holds for theta(K, m) at every m."""
-        sigq = self.sigma_q(key)
-        if sigq is None:
-            return []
-        return [(Fraction(-sigq, 2 * (self.q - 1)), None,
-                 f"R1 signature lower bound, sigma^({self.q}) = {sigq}")]
-
-    def _r1_genus(self, key: Key) -> list[Bound]:
-        g4 = self._additive(key, "g4")
-        if g4 is None:
-            return []
-        return [(None, Fraction(g4), f"R1 slice genus upper bound, g4 <= {g4}")]
-
-    def _r4(self, key: Key) -> list[Bound]:
+        """What R1, R4, R5, R7 and R8 give at key, in lattice steps, with R7
+        and R8 at m = 0."""
+        q, step = self.q, self.q - 1
+        sig, g4, _, delta = self._sums(key)
+        out: list[Bound] = []
+        if sig is not None:
+            out.append((-sig // 2, None, f"R1 signature lower bound, sigma^({q}) = {sig}"))
+        if g4 is not None:
+            out.append((None, g4 * step, f"R1 slice genus upper bound, g4 <= {g4}"))
+        family = None if len(key) != 1 or sig is None else self._closed_form(key[0][0])
+        if family is not None:
+            value = max(0, -sig // 2)
+            out.append((value, value, f"R4 {family} closed form"))
+        if sig is not None and delta is not None and sig <= 0 and 2 * delta < -sig:
+            out.append((1 - sig // 2, None,
+                        f"R5 delta jump: delta^({q}) = {delta} < -sigma/2 = "
+                        f"{Fraction(-sig, 2)} with sigma <= 0"))
         if len(key) != 1:
-            return []
-        sigq = self.sigma_q(key)
-        family = None if sigq is None else self._closed_form(key[0][0])
-        if family is None:
-            return []
-        value = max(Fraction(0), Fraction(-sigq, 2 * (self.q - 1)))
-        return [(value, value, f"R4 {family} closed form")]
+            return out
+        name, mirrored = key[0]
+        ell = None if sig is None else self._quantity(name, "ell_q", not mirrored)
+        if ell is not None:
+            out.append((ell - 3 * sig // 4, None,
+                        f"R7 HF+ degree bound: ell^({q})(mirror) = {ell}"))
+        seq = self._mirror_sequence(key[0])
+        if seq is not None and sig is not None:
+            value = int(theta_from_mirror_delta(q, seq, sig) * step)
+            out.append((value, value, "R8 exact delta sequence of the mirror"))
+        return out
 
-    def _r5(self, key: Key) -> list[Bound]:
-        sigq = self.sigma_q(key)
-        delta = self.delta_hom(key)
-        if sigq is None or delta is None:
-            return []
-        if sigq <= 0 and Fraction(delta) < Fraction(-sigq, 2):
-            return [(Fraction(1, self.q - 1) + Fraction(-sigq, 2 * (self.q - 1)), None,
-                     f"R5 delta jump: delta^({self.q}) = {delta} < -sigma/2 = "
-                     f"{Fraction(-sigq, 2)} with sigma <= 0")]
-        return []
-
-    def r7(self, key: Key, m: int) -> list[Bound]:
-        """R7's lower bound on theta(K, m)."""
-        sigq = self.sigma_q(key)
-        ell = None if sigq is None else self.ell_mirror(key)
-        if ell is None:
-            return []
-        return [(ell_lower_bound(self.q, ell, sigq, m), None,
-                 f"R7 HF+ degree bound: ell^({self.q})(mirror) = {ell}")]
-
-    def r8(self, key: Key, m: int) -> list[Bound]:
-        """R8's exact value of theta(K, m)."""
-        seq = self.mirror_delta_seq(key)
-        if seq is None:
-            return []
-        sigq = self.sigma_q(key)
-        if sigq is None:
-            return []
-        value = theta_from_mirror_delta(self.q, seq, sigq, m)
-        return [(value, value, "R8 exact delta sequence of the mirror")]
+    def theta_m(self, key: Key, m: int) -> tuple[Optional[Fraction], ...]:
+        """(exact, r1, r7) for theta(K, m): R8's exact value, or else None
+        and the lower bounds of R1 and R7, unrounded, each None where the
+        rule gives none.  With an exact value nothing else is read, so it
+        cites only the facts R8 reads."""
+        if len(key) == 1:
+            name, mirrored = key[0]
+            seq = self._mirror_sequence(key[0])
+            sig = None if seq is None else self._quantity(name, "sigma_q", mirrored)
+            if sig is not None:
+                return theta_from_mirror_delta(self.q, seq, sig, m), None, None
+        sig = self._sums(key)[0]
+        if sig is None:
+            return None, None, None
+        ell = None if len(key) != 1 else self._quantity(name, "ell_q", not mirrored)
+        return (None, Fraction(-sig, 2 * (self.q - 1)),
+                None if ell is None else ell_lower_bound(self.q, ell, sig, m))
