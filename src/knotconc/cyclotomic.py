@@ -22,15 +22,12 @@ tau = sigma_g for a generator g of (Z/q)^*, so that product is built by
 doubling, tau(a)...tau^(2m)(a) = P * tau^m(P) with P = tau(a)...tau^m(a),
 in about 2 log2(q) integer multiplications and no polynomial division.
 
-Sign determination for real elements (those fixed by conjugation) embeds
-zeta at exp(2*pi*i*j/q), for any j prime to q, and evaluates with integer
-fixed-point enclosures: each cos(2*pi*k/q) is an integer within 1 of its
-value times 2^prec, and cos(2*pi*j*k/q) is the table entry at min(r, q-r)
-for r = j*k mod q, so the integer sum of the coefficients against them lies
-within a known bound of the element times 2^prec.  The precision doubles
-until the sum clears that bound.  This terminates for every nonzero real
-element, so no numerical tolerance ever enters a result.  The table of
-cosines is computed once per (q, precision) and cached.
+Sign determination for real elements (those fixed by conjugation), in
+``sign``, embeds zeta at exp(2*pi*i*j/q) for any j prime to q and sums the
+coefficients against integer fixed-point cosines (``_cosines``, cached per
+(q, precision)), doubling the precision until the sum clears its error
+bound.  The element's norm bounds the precision needed, so no numerical
+tolerance ever enters a result.
 """
 
 from __future__ import annotations
@@ -38,9 +35,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-_SIGN_START_PREC = 64
-_SIGN_MAX_PREC = 1 << 15
 
 
 # Largest prime order accepted from the command line or a ledger fact.  Exact
@@ -277,14 +271,22 @@ class Cyclotomic:
         """Sign (-1, 0, +1) of a real element under zeta -> exp(2*pi*i*j/q),
         for j prime to q; this is the sign of ``self.galois(j)``.
 
-        Zero is decided exactly from the coefficients.  Otherwise the real
-        embedding sum(c_k * cos(2*pi*j*k/q)) is bounded by integer
-        fixed-point enclosures: with a_k = den * c_k and C from
-        ``_cosines``, cos(2*pi*j*k/q) is within 1 of C at min(r, q-r) over
-        2^prec, where r = j*k mod q, and r = 0 only at k = 0, where the
-        entry is exact.  So sum(a_k * C) is within sum_{k>=1} |a_k| of
-        2^prec * den * sigma_j(self), and den > 0.  Its sign is returned
-        once it clears twice that bound; until then the precision doubles.
+        Zero is decided exactly from the coefficients.  Otherwise, with
+        a_k = den * c_k and C from ``_cosines``, cos(2*pi*j*k/q) is within 1
+        of C at min(r, q-r) over 2^prec, r = j*k mod q, and r = 0 only at
+        k = 0, where the entry is exact.  So sum(a_k * C) is within
+        bound = sum_{k>=1} |a_k| of 2^prec * den * sigma_j(self), den > 0.
+        Its sign is returned once it clears twice the bound; until then the
+        precision doubles, from 64 bits.
+
+        The doubling ends.  alpha = den * self = sum(a_k zeta^k) is a
+        nonzero algebraic integer, so |N(alpha)| >= 1, and each conjugate is
+        at most L1 = sum_k |a_k|.  alpha is real, so N(alpha) is the product
+        of sigma_i(alpha)^2, i = 1..(q-1)/2, and |sigma_j(alpha)| >= L1^(-E),
+        E = max(0, (q-3)/2).  With P = ceil(log2(3 L1)) + ceil(E log2 L1),
+        2^P > 3 L1^(1+E) (3 L1 is no power of 2), so at any prec >= P the sum
+        exceeds 3 L1 - bound >= twice the bound: the loop stops by the first
+        64 * 2^i >= P, and asks ``_cosines`` for less than max(64, 2P) bits.
         """
         q = self.q
         if j % q == 0:
@@ -295,17 +297,13 @@ class Cyclotomic:
             raise CyclotomicError("sign requested for a non-real element")
         margin = 2 * sum(map(abs, self.num[1:]))
         at = _embedding_index(q, j % q)
-        prec = _SIGN_START_PREC
-        while prec <= _SIGN_MAX_PREC:
+        prec = 64
+        while True:
             cos = _cosines(q, prec)
             total = sum(a * cos[i] for a, i in zip(self.num, at) if a)
             if abs(total) > margin:
                 return 1 if total > 0 else -1
             prec *= 2
-        raise CyclotomicError(
-            "could not certify the sign of a nonzero real element "
-            f"up to precision {_SIGN_MAX_PREC} bits: {self!r}"
-        )
 
 
 @lru_cache(maxsize=128)
@@ -368,8 +366,10 @@ def _cosines(q: int, prec: int) -> tuple[int, ...]:
       E_k < k (9w + 2)(1 + eps)^k < 20 k w while k eps < 1/2.
     * C_k rounds Re Z_k to the nearest multiple of 2^64 and drops those 64
       bits: |C_k - 2^prec cos(2 pi k / q)| <= E_k / 2^64 + 1/2 <= 1 when
-      20 k w <= 2^63.  Here prec <= 2^15, so w < 2^16, and k < q, which is
-      far below 2^40 in any process (an element stores q - 1 integers).
+      20 k w <= 2^63.  The steps above hold at any w, and k < q, so this
+      covers every prec up to 2^63 / (20 q) - 64: 2^52 at q = 97, and for
+      any q a table at that precision would fill over 2^55 bytes.
+      ``Cyclotomic.sign`` asks for less than max(64, 2P) bits (see there).
     """
     w = prec + 64
     S = 1 << w

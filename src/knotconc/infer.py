@@ -33,9 +33,7 @@ never created, and only R2 over that split adds them
 (``tests/test_infer.py::test_r2_needs_every_binary_split``).  It applies
 the ledger's rules once per node.  Then it drains a semi-naive worklist:
 each R2 split instance, R3 relation instance and R6 node is queued again
-only when a bound it reads changes, and never twice at once.  R2 and R3
-call a bound setter only with a bound tighter than the current one; any
-other call would do nothing.
+only when a bound it reads changes, and never twice at once.
 
 The universe is one list of keys, ``nodes``, with the reduced query at
 node 0; ``run`` returns node 0's interval.  A ledger relation whose
@@ -251,9 +249,11 @@ class InferenceEngine:
         """Queue the instances that read the bound of node n that changed."""
         queued, work = self._queued, self._work
         m = self._mirror[n]
+        # n's own splits too: R2 there reads n's bounds (dropped, only derivations changed)
         readers = [range(self._split_start[n], self._split_start[n + 1]),
                    self._part_of[n], self._r3_of.get(n, ())]
-        if upper:  # R2 reads the upper bounds of its parts' mirrors
+        # R2 reads its parts' mirrors' upper bounds (dropped, other nodes stop short of closure)
+        if upper:
             readers.append(self._part_of[m])
         elif self._u[m] is not None:
             readers.append((self._n23 + m,))  # R6 at the mirror
@@ -266,12 +266,11 @@ class InferenceEngine:
     # -- rules that read other bounds ----------------------------------------------
 
     def rule_r2(self, i: int) -> None:
-        """R2 on split instance i: node e is the connected sum a + b.  Like
-        R3, it calls a setter only with a bound tighter than the current
-        one, the only call that does anything."""
+        """R2 on split instance i: node e is the connected sum a + b."""
         r2, lo, hi, mirror = self._r2, self._lo, self._hi, self._mirror
         e, a, b = r2[3 * i], r2[3 * i + 1], r2[3 * i + 2]
         ma, mb = mirror[a], mirror[b]
+        # each guard repeats its setter's tightness test to skip the call: it saves time only
         if hi[a] is not None and hi[b] is not None and (
                 hi[e] is None or hi[a] + hi[b] < hi[e]):
             self.set_upper(e, hi[a] + hi[b], "R2 subadditivity over {} | {}", a, b)
@@ -295,6 +294,7 @@ class InferenceEngine:
         lo, hi, step = self._lo, self._hi, self.q - 1
         plus, minus = self._r3[2 * r], self._r3[2 * r + 1]
         why = "R3 crossing change {} -> {}"
+        # the guards save setter calls, as in rule_r2
         if hi[plus] is not None and (hi[minus] is None or hi[plus] < hi[minus]):
             self.set_upper(minus, hi[plus], why, plus, minus)
         if lo[plus] - step > lo[minus]:
@@ -335,7 +335,6 @@ class InferenceEngine:
         self._n23 = n2 + len(self.relations)
         self._lo = [0] * n_nodes
         self._hi = [None] * n_nodes
-        self._u = [self.ledger_bounds.u_upper(key) for key in self.nodes]
         self._queued = bytearray(self._n23 + n_nodes)
         self._work = array("i")
 
@@ -347,16 +346,19 @@ class InferenceEngine:
         query = self.ledger_bounds.reduce(expr)
         _check_universe_size(query)
         self._build(query)
+        # every node's sums first: a setter below queues R6 by _u at a mirror
+        found = [self.ledger_bounds.bounds(key) for key in self.nodes]
+        self._u = [u for _, u in found]
         rng = random.Random(self.rule_seed) if self.rule_seed is not None else None
         order = list(range(len(self.nodes)))
         if rng is not None:
             rng.shuffle(order)
         step = self.q - 1
         for n in order:
-            found = self.ledger_bounds.bounds(self.nodes[n])
+            rules = found[n][0]
             if rng is not None:
-                rng.shuffle(found)
-            for lower, upper, why in found:
+                rng.shuffle(rules)
+            for lower, upper, why in rules:
                 if lower is not None:
                     self.set_lower(n, lower, why)
                 if upper is not None:

@@ -34,10 +34,10 @@ a node's bounds read all four values of its row anyway.  ``theta_m``'s
 exact value reads no row, so it cites only the delta sequence or family
 flag and the signatures it reads.
 
-The same object reduces a query to its concordance class and serves the
-unknotting bound that R6 reads.  It reads the ledger only through
-``Ledger.quantity``, records in ``provenance`` the fact behind each value it
-uses, and lives for one query.
+The same object reduces a query to its concordance class, and ``bounds``
+also returns the unknotting sum that R6 reads.  It reads the ledger only
+through ``Ledger.quantity``, records in ``provenance`` the fact behind each
+value it uses, and lives for one query.
 """
 
 from __future__ import annotations
@@ -119,9 +119,6 @@ class LedgerBounds:
             rows.append(row)
         return [None if None in col else sum(col) for col in zip(*rows, (0, 0, 0, 0))]
 
-    def u_upper(self, key: Key) -> Optional[int]:
-        return self._sums(key)[2]
-
     def _closed_form(self, name: str) -> Optional[str]:
         """The family whose closed form gives an atom's theta and delta
         sequence: quasi-alternating at q = 2, else an L-space branched
@@ -146,11 +143,11 @@ class LedgerBounds:
 
     # -- rules ----------------------------------------------------------------
 
-    def bounds(self, key: Key) -> list[Bound]:
+    def bounds(self, key: Key) -> tuple[list[Bound], Optional[int]]:
         """What R1, R4, R5, R7 and R8 give at key, in lattice steps, with R7
-        and R8 at m = 0."""
+        and R8 at m = 0, and the unknotting sum that R6 reads."""
         q, step = self.q, self.q - 1
-        sig, g4, _, delta = self._sums(key)
+        sig, g4, u, delta = self._sums(key)
         out: list[Bound] = []
         if sig is not None:
             out.append((-sig // 2, None, f"R1 signature lower bound, sigma^({q}) = {sig}"))
@@ -165,7 +162,7 @@ class LedgerBounds:
                         f"R5 delta jump: delta^({q}) = {delta} < -sigma/2 = "
                         f"{Fraction(-sig, 2)} with sigma <= 0"))
         if len(key) != 1:
-            return out
+            return out, u
         name, mirrored = key[0]
         ell = None if sig is None else self._quantity(name, "ell_q", not mirrored)
         if ell is not None:
@@ -175,7 +172,7 @@ class LedgerBounds:
         if seq is not None and sig is not None:
             value = int(theta_from_mirror_delta(q, seq, sig) * step)
             out.append((value, value, "R8 exact delta sequence of the mirror"))
-        return out
+        return out, u
 
     def theta_m(self, key: Key, m: int) -> tuple[Optional[Fraction], ...]:
         """(exact, r1, r7) for theta(K, m): R8's exact value, or else None

@@ -1,5 +1,6 @@
 import cmath
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,3 +53,13 @@ def float_lt_signature(V: SeifertMatrix, q: int, j: int, margin: float = 1e-6):
 def seifert_corpus():
     rng = random.Random(20240517)
     return [random_seifert(rng, rng.randint(1, 5)) for _ in range(200)]
+
+
+@pytest.fixture
+def corpus(monkeypatch):
+    """The benchmark's seeded inputs, ``perfbench/corpus.py``, read where
+    they lie (the module imports nothing from the package)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import corpus
+
+    return corpus

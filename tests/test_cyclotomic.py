@@ -197,6 +197,29 @@ def test_sign_escalates_precision():
         assert d.sign() == (1 if n % 2 == 0 else -1)
 
 
+def test_sign_past_two_to_the_fifteen_bits(monkeypatch):
+    # alpha = F(n+1) x - F(n) at q = 5 and n = 24,000, x = zeta + zeta^4 =
+    # 2cos(2*pi/5) = 1/phi.  By Binet's formula sigma_1(alpha) =
+    # (-1)^n phi^(-n-1), about +2^-16,660; sigma_2 sends x to -phi, so there
+    # alpha is negative.  L1 has 16,664 bits, so the bound P of ``sign`` is
+    # about 33,330 bits, past 2^15: the loop asks for 2^16.
+    from knotconc import cyclotomic
+
+    asked, cosines = [], cyclotomic._cosines
+    monkeypatch.setattr(cyclotomic, "_cosines",
+                        lambda q, prec: asked.append(prec) or cosines(q, prec))
+    z = Cyclotomic.zeta_power(5, 1)
+    x = z + z.conjugate()
+    fn, fn1 = 0, 1
+    for _ in range(24_000):
+        fn, fn1 = fn1, fn + fn1
+    alpha = rational(5, fn1) * x - rational(5, fn)
+    assert sum(map(abs, alpha.num)).bit_length() == 16_664
+    assert alpha.sign(1) == 1
+    assert max(asked) == 1 << 16
+    assert alpha.sign(2) == -1
+
+
 def test_norm_is_real_and_positive():
     rng = random.Random(13)
     for q in (2, 3, 5, 7):

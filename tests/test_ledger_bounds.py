@@ -95,8 +95,9 @@ def test_bounds_match_the_formulas_on_seed_universes():
             engine.run(parse_expression(expr))
             rules = LedgerBounds(L, q)  # one per query, as the engine keeps
             for key in engine.nodes:
-                found = rules.bounds(key)
+                found, u = rules.bounds(key)
                 assert found == oracle(L, key, q), (expr, q, key)
+                assert u == _sum(L, key, "unknotting_upper", q), (expr, q, key)
                 seen.update(why.split()[0] for _, _, why in found)
     assert seen == {"R1", "R4", "R5", "R7", "R8"}
 
@@ -114,9 +115,9 @@ def test_r7_off_the_lattice_rounds_up():
     # sigma(K) = -2 at q = 2: R7 gives ell + 3/2, not a whole step
     L = _synthetic(("K", "sigma_q", -2), ("-K", "ell_q", 0))
     key = parse_expression("K")
-    r7 = [b for b in LedgerBounds(L, 2).bounds(key) if b[2].startswith("R7")]
+    r7 = [b for b in LedgerBounds(L, 2).bounds(key)[0] if b[2].startswith("R7")]
     assert r7 == [(2, None, "R7 HF+ degree bound: ell^(2)(mirror) = 0")]
-    assert LedgerBounds(L, 2).bounds(key) == oracle(L, key, 2)
+    assert LedgerBounds(L, 2).bounds(key)[0] == oracle(L, key, 2)
 
 
 def test_r5_strict_boundary():
@@ -125,6 +126,6 @@ def test_r5_strict_boundary():
     for delta, want in ((2, []), (1, [(3, None, "R5 delta jump: delta^(2) = 1 < "
                                                 "-sigma/2 = 2 with sigma <= 0")])):
         L = _synthetic(("K", "sigma_q", -4), ("K", "delta_MO", delta))
-        found = LedgerBounds(L, 2).bounds(key)
+        found = LedgerBounds(L, 2).bounds(key)[0]
         assert [b for b in found if b[2].startswith("R5")] == want
         assert found == oracle(L, key, 2)
