@@ -40,8 +40,11 @@ node 0; ``run`` returns node 0's interval.  A ledger relation whose
 reduced ends are equal (one between two slice atoms, say) is dropped
 before the closure: R3 on a node paired with itself never tightens a bound.
 
-A query Q is relation-free when no reduced ledger relation holds a signed
-atom of Q or of its mirror.  Its universe is then exactly the nonempty
+A query Q is relation-free when no ledger relation, unreduced, holds a
+signed atom of Q or of its mirror: reduction only drops atoms, so this is
+decided before any relation is reduced, and a relation whose shared atoms
+cancel in its reduction only sends Q down the closure path, which builds
+the same universe.  Its universe is then exactly the nonempty
 sub-multisets of Q and of -Q, 2 (prod(c_i + 1) - 1) nodes for atom counts
 c_i, so the up-front ``MAX_NODES`` check is exact for it, and its layout
 depends on the count vector alone.  A reduced key holds each name with one
@@ -54,7 +57,9 @@ module-level LRU, ``_shapes``, of at most ``MAX_NODES`` nodes in all).  A
 query of that shape only relabels the keys and shares the arrays, which
 nothing writes after the closure, with every other engine and thread.
 The unknot and every query that a relation reaches are closed on their own
-keys.
+keys, and only these reduce the ledger's relations; the slice facts that
+reduction reads are cited only when a relation instance enters the closed
+universe.
 
 Bounds are integers counting lattice steps 1/(q-1), at least 0; the
 ledger's rules arrive already rounded inward to steps, and a ``Fraction``
@@ -315,14 +320,18 @@ class InferenceEngine:
     def _build(self, query: Key) -> None:
         """Close the universe over the query, or relabel its shape's, then
         number the instances and open every bound."""
-        relations = self.ledger_bounds.relations()
-        if _relation_free(query, relations):
+        if _relation_free(query, self.ledger.relations):
             u = _shape(tuple(Counter(query).values()))
             table = [a for name, sign in dict.fromkeys(query)
                      for a in ((name, sign), (name, not sign))]
             self.nodes = [tuple([table[c] for c in code]) for code in u.keys]
         else:
-            u = _Universe(query, relations)
+            # reducing the relations cites the slice facts it reads; they
+            # stay cited only if a relation instance enters the universe
+            cited = dict(self.ledger_bounds.provenance)
+            u = _Universe(query, self.ledger_bounds.relations())
+            if not u.relations:
+                self.ledger_bounds.provenance = cited
             self.nodes = u.keys
         self.relations, self._mirror, self._r2, self._split_start, self._part_of = (
             u.relations, u.mirror, u.r2, u.split_start, u.part_of)
@@ -474,10 +483,10 @@ class _Universe:
                         self.relations.add((n, m) if forward else (m, n))
 
 
-def _relation_free(query: Key, relations: list[tuple[Key, Key]]) -> bool:
-    """Whether no reduced ledger relation reaches the universe of the
-    query: the query is not the unknot, and no relation holds an atom of
-    the query or of its mirror."""
+def _relation_free(query: Key, relations: Sequence[tuple[Key, Key]]) -> bool:
+    """Whether no ledger relation reaches the universe of the reduced
+    query: the query is not the unknot, and no unreduced relation end holds
+    an atom of the query or of its mirror."""
     atoms = {*query, *mirror_atoms(query)}
     return bool(query) and all(atoms.isdisjoint(plus + minus) for plus, minus in relations)
 

@@ -5,9 +5,11 @@ Expressions follow the grammar
     expr  ::= term ('+' term)*
     term  ::= '-' term | '(' expr ')' | NAME
 
-where NAME is an identifier that may itself contain balanced parentheses and
-commas, so that knot-table style names like ``T(2,3)``, ``9_42`` and
-``Wh(T(2,3))`` are single atoms.  A leading ``-`` is the mirror image.
+where NAME is a run of letters, digits and underscores, followed directly
+(no space between) by at most one balanced group of parentheses holding such
+runs, commas and nested groups, so that knot-table style names like
+``T(2,3)``, ``9_42`` and ``Wh(T(2,3))`` are single atoms.  A leading ``-`` is
+the mirror image.
 Parentheses and mirror signs may nest at most ``MAX_NESTING`` (100) deep.
 
 Connected sum is commutative and associative, and mirroring is an involution
@@ -47,53 +49,6 @@ def expr_to_string(key: Key) -> str:
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-":
-            tokens.append(ch)
-            i += 1
-        elif ch == "(" or ch == ")":
-            tokens.append(ch)
-            i += 1
-        elif ch in _NAME_CHARS:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            name = text[i:j]
-            # A '(' directly after a name opens that name's argument list,
-            # e.g. T(2,3) or Wh(T(2,3)); consume it balanced into the name.
-            if j < n and text[j] == "(":
-                depth = 0
-                k = j
-                while k < n:
-                    if text[k] == "(":
-                        depth += 1
-                    elif text[k] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            k += 1
-                            break
-                    elif text[k] not in _NAME_CHARS and text[k] != ",":
-                        raise ExpressionError(
-                            f"bad character {text[k]!r} inside name at position {k}"
-                        )
-                    k += 1
-                if depth != 0:
-                    raise ExpressionError(f"unbalanced parentheses in name {name!r}")
-                name = text[i:k]
-                j = k
-            tokens.append("NAME:" + name)
-            i = j
-        else:
-            raise ExpressionError(f"unexpected character {ch!r} at position {i}")
-    return tokens
-
-
 # Deepest nesting of parentheses and mirror signs the parser accepts; the
 # parser recurses once per level, so deeper input is refused, not crashed on.
 MAX_NESTING = 100
@@ -109,51 +64,82 @@ MAX_NODES = 4000
 
 def parse_expression(text: str) -> Key:
     """Parse the expression grammar into its key; raises ExpressionError on
-    bad input, including terms nested more than MAX_NESTING deep."""
-    tokens = _tokenize(text)
-    pos = 0
-    depth = 0
+    bad input, including terms nested more than MAX_NESTING deep.
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    One recursive descent over the text.  A name is read where a term meets
+    one, with its single argument group when ``(`` follows it directly; a
+    later ``(`` opens a term.  Where the grammar fails, the token it stopped
+    at is read first, so a malformed token there is what gets reported."""
+    n = len(text)
+    pos = depth = 0
 
-    def take():
+    def peek() -> str:
+        """The next character after whitespace, or '' at the end."""
         nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
+        while pos < n and text[pos].isspace():
+            pos += 1
+        return text[pos:pos + 1]
+
+    def name() -> str:
+        """The name at pos, with its argument group if it has one."""
+        nonlocal pos
+        start = pos
+        while pos < n and text[pos] in _NAME_CHARS:
+            pos += 1
+        if not text.startswith("(", pos):
+            return text[start:pos]
+        head, level = text[start:pos], 0
+        while pos < n:
+            ch = text[pos]
+            if ch not in _NAME_CHARS and ch not in "(),":
+                raise ExpressionError(f"bad character {ch!r} inside name at position {pos}")
+            level += (ch == "(") - (ch == ")")
+            pos += 1
+            if not level:
+                return text[start:pos]
+        raise ExpressionError(f"unbalanced parentheses in name {head!r}")
+
+    def fail(message: str):
+        """Raise ``message``, or the error of a malformed token at pos."""
+        ch = peek()
+        if ch in _NAME_CHARS:
+            name()
+        elif ch and ch not in "+-()":
+            raise ExpressionError(f"unexpected character {ch!r} at position {pos}")
+        raise ExpressionError(message)
 
     def parse_sum() -> list[SignedAtom]:
+        nonlocal pos
         out = parse_term()
         while peek() == "+":
-            take()
+            pos += 1
             out += parse_term()
         return out
 
     def parse_term() -> list[SignedAtom]:
-        nonlocal depth
-        tok = peek()
-        if tok in ("-", "("):
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ExpressionError(
-                    f"expression nested more than {MAX_NESTING} levels deep "
-                    f"(parentheses and mirror signs)")
-            take()
-            if tok == "-":
-                inner = [(name, not m) for name, m in parse_term()]
-            else:
-                inner = parse_sum()
-                if take() != ")":
-                    raise ExpressionError(f"expected ')' in {text!r}")
-            depth -= 1
-            return inner
-        if tok is not None and tok.startswith("NAME:"):
-            take()
-            return [(tok[5:], False)]
-        raise ExpressionError(f"expected a knot name in {text!r}")
+        nonlocal pos, depth
+        ch = peek()
+        if ch in _NAME_CHARS:
+            return [(name(), False)]
+        if ch not in ("-", "("):
+            fail(f"expected a knot name in {text!r}")
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ExpressionError(
+                f"expression nested more than {MAX_NESTING} levels deep "
+                f"(parentheses and mirror signs)")
+        pos += 1
+        if ch == "-":
+            inner = [(atom, not m) for atom, m in parse_term()]
+        else:
+            inner = parse_sum()
+            if peek() != ")":
+                fail(f"expected ')' in {text!r}")
+            pos += 1
+        depth -= 1
+        return inner
 
     out = parse_sum()
-    if pos != len(tokens):
-        raise ExpressionError(f"trailing input in {text!r}")
+    if peek():
+        fail(f"trailing input in {text!r}")
     return signed_atoms(out)

@@ -45,7 +45,7 @@ def test_engine_sums_digest(corpus):
                         L, parse_expression(expr), q, rule_seed=rule_seed)))
     assert len(records) == 2448
     assert _digest(records) == (
-        "7773769ce243cfaaaca381a26e8e4ddf5e2ea3fff422d3587dcb40fd5cffda78")
+        "dc0396c56bb079ca712f83eccc7e6598ca0b31a3f3ff36ff64d317571b6a5ffb")
 
 
 def test_theta_m_digest():
@@ -59,4 +59,4 @@ def test_theta_m_digest():
                for expr in exprs for q in (2, 3, 5) for m in (0, 1, 2, 4, 8)]
     assert len(records) == 1200
     assert _digest(records) == (
-        "4cd1156af5d869df77f93ed710cba0d7ed80e12e5422d49b0d9f28d684b85539")
+        "6787e9ab18331cec9e8d3f475517de6809c66f8f137ac2f5949d4d36339b7d19")

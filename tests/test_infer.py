@@ -225,6 +225,19 @@ def test_relation_of_slice_knots_is_dropped():
     assert iv.upper == 2 and iv.justification
 
 
+def test_relation_citations_only_where_a_relation_reaches():
+    """Reducing the seed's relations reads slice(unknot), since
+    ``unknot -> 9_42`` ends there.  A query that no relation reaches cites
+    it no more; one whose universe holds a relation instance still does."""
+    L = load_seed_ledger()
+    for text, q in (("T(3,5) + T(2,7)", 2), ("T(3,5) + T(2,7)", 3),
+                    ("T(2,11) + -T(3,5)", 3), ("-T(3,7) + -T(3,7)", 2)):
+        iv = infer(L, text, q)
+        assert iv.provenance and "slice(unknot)" not in iv.provenance, (text, q)
+    for text in ("T(2,5) + -T(3,7)", "unknot", "-Wh(T(2,3))"):
+        assert "slice(unknot)" in infer(L, text).provenance, text
+
+
 def test_inconsistent_ledger_reports_rules():
     data = {
         "atoms": [{"name": "K"}],

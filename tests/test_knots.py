@@ -42,6 +42,38 @@ def test_parse_errors():
             parse_expression(bad)
 
 
+def test_a_name_takes_one_argument_group():
+    """Only a '(' directly after a name opens its argument group, and only
+    one: a second group, or a group after a space, is a term of its own,
+    whose comma then lies outside any name."""
+    for bad in ("4(9)(923)", "2h(x3x29)(T)", "T(2,3)(5)"):
+        with pytest.raises(ExpressionError, match="trailing input"):
+            parse_expression(bad)
+    for bad in ("T (2,3)", "-T (2,3)", "(T (2,3))"):
+        with pytest.raises(ExpressionError):
+            parse_expression(bad)
+
+
+def test_a_comma_outside_a_name_and_an_unbalanced_name():
+    for bad in ("a, b", "(a, b)", ", a", "a + ,b", "(2,3)"):
+        with pytest.raises(ExpressionError, match="unexpected character ','"):
+            parse_expression(bad)
+    for bad, name in (("T(3", "T"), ("Wh(T(2,3)", "Wh"), ("a + b((c)", "b")):
+        with pytest.raises(ExpressionError, match=f"unbalanced parentheses in name '{name}'"):
+            parse_expression(bad)
+
+
+def test_nesting_limit_is_one_hundred():
+    for k in (99, 100):
+        assert parse_expression("-" * k + "T(2,3)") == (("T(2,3)", k % 2 == 1),)
+        assert parse_expression("(" * k + "x" + ")" * k) == (("x", False),)
+    assert parse_expression("(-" * 50 + "x" + ")" * 50) == (("x", False),)
+    for text in ("-" * 101 + "T(2,3)", "(" * 101 + "x" + ")" * 101,
+                 "-" + "(-" * 50 + "x" + ")" * 50):
+        with pytest.raises(ExpressionError, match="nested more than 100 levels deep"):
+            parse_expression(text)
+
+
 def test_mirror_involution():
     rng = random.Random(40)
     for _ in range(300):
