@@ -20,8 +20,10 @@ class Record:
     """Base of the package's records: plain classes with ``__slots__``.
 
     A record's fields are the names in the ``__slots__`` of its classes,
-    base first.  It prints as ``Name(field=value, ...)`` and equals a record
-    of the same class whose fields are equal.  A class declared with
+    base first, apart from names starting with ``_``: such a slot holds what
+    is derived from the fields, and takes no part in printing, equality or
+    hashing.  A record prints as ``Name(field=value, ...)`` and equals a
+    record of the same class whose fields are equal.  A class declared with
     ``frozen=True`` sets its fields once, through ``_assign``; after that an
     assignment or deletion raises AttributeError, and the record hashes its
     fields.  Any other record is unhashable.  (``dataclasses`` would give
@@ -35,7 +37,8 @@ class Record:
     def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for c in reversed(cls.__mro__)
-                            for name in c.__dict__.get("__slots__", ()))
+                            for name in c.__dict__.get("__slots__", ())
+                            if not name.startswith("_"))
         if frozen:
             cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
             cls.__hash__ = lambda self: hash(self._values())

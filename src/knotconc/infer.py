@@ -21,8 +21,10 @@ theta^(q) values, tightened by a monotone rule set until nothing changes:
 
 plus the concordance facts that slice summands and K + (-K) pairs do not
 change theta.  R1, R4, R5, R7 and R8 read only the ledger and live in
-``ledger_bounds``, which gives them in lattice steps from one row of ledger
-values per signed atom; R2, R3 and R6 read other bounds and live here.
+``ledger_bounds``, which gives them in lattice steps from one table per
+(ledger, q), shared by every query on that ledger and dying with it: an
+entry per signed atom, with the facts behind it.  R2, R3 and R6 read other
+bounds and live here.
 
 The engine works in three steps.  It builds a finite universe of nodes: the
 reduced query and, for every node, its mirror, the two parts of each of its
@@ -57,9 +59,11 @@ module-level LRU, ``_shapes``, of at most ``MAX_NODES`` nodes in all).  A
 query of that shape only relabels the keys and shares the arrays, which
 nothing writes after the closure, with every other engine and thread.
 The unknot and every query that a relation reaches are closed on their own
-keys, and only these reduce the ledger's relations; the slice facts that
-reduction reads are cited only when a relation instance enters the closed
-universe.
+keys over the relations the table reduced.  A query cites the facts behind
+the entries it read: the slice facts its reduction dropped, the entry of
+each of its universe's signed atoms (each is a node), and the slice facts
+behind the reduced relations only when a relation instance enters the
+closed universe.
 
 Bounds are integers counting lattice steps 1/(q-1), at least 0; the
 ledger's rules arrive already rounded inward to steps, and a ``Fraction``
@@ -75,8 +79,8 @@ happened.  The engine keeps it as one record per update and formats a
 record as a line only when the interval's ``justification`` is read, so a
 caller that prints no derivation pays for no text.
 
-Everything here consumes the ledger; nothing mutates it, so any number of
-queries may run concurrently.
+Everything here consumes the ledger; nothing mutates it, and its tables
+are filled idempotently, so any number of queries may run concurrently.
 """
 
 from __future__ import annotations
@@ -317,21 +321,21 @@ class InferenceEngine:
 
     # -- the universe ---------------------------------------------------------------
 
-    def _build(self, query: Key) -> None:
+    def _build(self, query: Key, cited: dict[str, str]) -> None:
         """Close the universe over the query, or relabel its shape's, then
-        number the instances and open every bound."""
+        number the instances and open every bound.  The slice facts that
+        reducing the relations reads go into ``cited`` only if a relation
+        instance enters the universe."""
         if _relation_free(query, self.ledger.relations):
             u = _shape(tuple(Counter(query).values()))
             table = [a for name, sign in dict.fromkeys(query)
                      for a in ((name, sign), (name, not sign))]
             self.nodes = [tuple([table[c] for c in code]) for code in u.keys]
         else:
-            # reducing the relations cites the slice facts it reads; they
-            # stay cited only if a relation instance enters the universe
-            cited = dict(self.ledger_bounds.provenance)
-            u = _Universe(query, self.ledger_bounds.relations())
-            if not u.relations:
-                self.ledger_bounds.provenance = cited
+            relations, relation_cited = self.ledger_bounds.relations()
+            u = _Universe(query, relations)
+            if u.relations:
+                cited.update(relation_cited)
             self.nodes = u.keys
         self.relations, self._mirror, self._r2, self._split_start, self._part_of = (
             u.relations, u.mirror, u.r2, u.split_start, u.part_of)
@@ -352,12 +356,18 @@ class InferenceEngine:
     def run(self, expr: Key) -> BoundInterval:
         """The tightest interval of ``expr``, whose reduced form is node 0."""
         self.ledger.require_atoms(expr)
-        query = self.ledger_bounds.reduce(expr)
+        rules, cited = self.ledger_bounds, {}
+        query = rules.reduce(expr, cited)
         _check_universe_size(query)
-        self._build(query)
+        self._build(query, cited)
         # every node's sums first: a setter below queues R6 by _u at a mirror
-        found = [self.ledger_bounds.bounds(key) for key in self.nodes]
+        found = [rules.bounds(key) for key in self.nodes]
         self._u = [u for _, u in found]
+        # each signed atom of the universe is a node: its entry cites what
+        # every node's bounds read of it
+        for key in self.nodes:
+            if len(key) == 1:
+                cited.update(rules.atom(key[0]).cited)
         rng = random.Random(self.rule_seed) if self.rule_seed is not None else None
         order = list(range(len(self.nodes)))
         if rng is not None:
@@ -378,7 +388,7 @@ class InferenceEngine:
         return BoundInterval(lower=Fraction(self._lo[0], step),
                              upper=None if hi is None else Fraction(hi, step),
                              justification=_Derivation(self.trace, self.nodes, step),
-                             provenance=dict(sorted(self.ledger_bounds.provenance.items())))
+                             provenance=dict(sorted(cited.items())))
 
     def _drain(self, rng: Optional[random.Random]) -> None:
         """Fire queued instances, round by round, until none is queued."""
@@ -569,10 +579,10 @@ def infer_theta_m(ledger: Ledger, expr: Key, q: int, m: int) -> BoundInterval:
     """Bounds on the m-shifted invariant theta^(q)(K, m).
 
     The engine runs on ``expr`` first, so an inconsistent ledger raises.
-    Then ``LedgerBounds.theta_m`` reads the reduced query at m.  The value is
-    exact when a full delta sequence of the mirror is available (ingested or
-    closed-form, R8); it cites only the facts R8 and the reduction read,
-    which is why that ``LedgerBounds`` is not the engine's.  Otherwise the
+    Then ``LedgerBounds.theta_m`` reads the reduced query at m from the
+    table the engine filled.  The value is exact when a full delta sequence
+    of the mirror is available (ingested or closed-form, R8); it cites only
+    the facts R8 and the reduction read, not the engine's.  Otherwise the
     interval runs from the larger of 0 and the unrounded lower bounds of the
     signature (R1, valid for every m) and the m-shifted HF+ degree bound
     (R7), rounded up to a lattice step, to theta(K)'s upper end, by
@@ -581,14 +591,12 @@ def infer_theta_m(ledger: Ledger, expr: Key, q: int, m: int) -> BoundInterval:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     base = InferenceEngine(ledger, q).run(expr)  # raises if the ledger is inconsistent here
-    # its own LedgerBounds: the exact value cites only the facts it reads,
-    # not the engine run's
-    rules = LedgerBounds(ledger, q)
-    exact, r1, r7 = rules.theta_m(rules.reduce(expr), m)
+    rules, cited = LedgerBounds(ledger, q), {}
+    exact, r1, r7 = rules.theta_m(rules.reduce(expr, cited), m, cited)
     if exact is not None:
         return BoundInterval(lower=exact, upper=exact,
                              justification=[f"exact delta sequence of the mirror with m = {m}"],
-                             provenance=dict(sorted(rules.provenance.items())))
+                             provenance=dict(sorted(cited.items())))
     if m == 0:
         # theta(K, 0) is theta(K): the whole rule set applies
         return base

@@ -108,9 +108,10 @@ class Ledger(Record):
     """``atoms`` maps an atom name to its Seifert matrix, or None for an atom
     ingested without one; ``facts`` maps each fact's ``key()`` to it; each
     relation (K+, K-) says that changing a positive crossing of K+ to
-    negative gives K-."""
+    negative gives K-.  ``derived`` keeps what readers derive from the
+    ledger alone, in a slot that is not a field."""
 
-    __slots__ = ("atoms", "facts", "relations")
+    __slots__ = ("atoms", "facts", "relations", "_derived")
 
     def __init__(self, atoms: dict[str, Optional[SeifertMatrix]],
                  facts: Optional[dict[tuple, Fact]] = None,
@@ -118,6 +119,17 @@ class Ledger(Record):
         self.atoms = atoms
         self.facts = {} if facts is None else facts
         self.relations = relations
+        self._derived: dict = {}
+
+    def derived(self, key, make):
+        """The object ``make()`` returned the first time ``key`` was asked.
+        It lives and dies with this ledger, which no one changes after load,
+        so it may hold whatever follows from the ledger alone.  Threads that
+        race here may each call ``make``; all get the first one stored."""
+        found = self._derived.get(key)
+        if found is None:
+            found = self._derived.setdefault(key, make())
+        return found
 
     # -- lookup -------------------------------------------------------------
 

@@ -88,16 +88,6 @@ class SeifertMatrix(Record, frozen=True):
     def size(self) -> int:
         return len(self.rows)
 
-    def block_sum(self, other: "SeifertMatrix") -> "SeifertMatrix":
-        """Block sum, presenting the connected sum of the two knots."""
-        n, m = self.size, other.size
-        rows = []
-        for i in range(n):
-            rows.append(tuple(self.rows[i]) + (0,) * m)
-        for i in range(m):
-            rows.append((0,) * n + tuple(other.rows[i]))
-        return SeifertMatrix(tuple(rows))
-
 
 def two_strand_torus_matrix(k: int) -> SeifertMatrix:
     """Standard genus-(k-1)/2 Seifert matrix of the positive torus knot T(2,k).

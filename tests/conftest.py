@@ -36,6 +36,13 @@ def random_seifert(rng: random.Random, genus: int, span: int = 3,
     return SeifertMatrix.from_rows(rows)
 
 
+def block_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:
+    """Block sum, presenting the connected sum of the two knots."""
+    n, m = a.size, b.size
+    return SeifertMatrix(tuple([row + (0,) * m for row in a.rows]
+                               + [(0,) * n + row for row in b.rows]))
+
+
 def float_lt_signature(V: SeifertMatrix, q: int, j: int, margin: float = 1e-6):
     """Floating-point eigenvalue count n+ - n-, or None when any eigenvalue
     is too close to zero to certify (caller discards those samples)."""

@@ -38,7 +38,7 @@ from knotconc.sequences import (
 )
 from knotconc.signatures import lt_signature, sigma_q, signature
 
-from conftest import float_lt_signature
+from conftest import block_sum, float_lt_signature
 
 import test_infer
 import test_knots
@@ -218,7 +218,7 @@ def test_criterion_5_signature_oracle(seifert_corpus):
         if a.size + b.size > 12:
             continue
         for q in (2, 3):
-            if sigma_q(a.block_sum(b), q) != sigma_q(a, q) + sigma_q(b, q):
+            if sigma_q(block_sum(a, b), q) != sigma_q(a, q) + sigma_q(b, q):
                 failures.append(("additivity", q))
     elapsed = time.monotonic() - t0
     if elapsed >= 60.0:

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from knotconc import cyclotomic, infer, signatures
 from knotconc.cyclotomic import Cyclotomic
-from knotconc.infer import InferenceEngine, infer_theta
+from knotconc.infer import InferenceEngine, infer_theta, infer_theta_m
 from knotconc.knots import parse_expression
 from knotconc.ledger import load_seed_ledger
 from knotconc.seifert import two_strand_torus_matrix
@@ -55,6 +55,34 @@ def test_concurrent_queries_of_one_shape_share_one_universe():
         assert len({id(getattr(engine, attr)) for engine, _ in parallel}) == 1
     for i, (_, iv) in enumerate(parallel):
         want = serial[i % len(texts)]
+        assert (iv.lower, iv.upper, list(iv.justification), iv.provenance) == (
+            want.lower, want.upper, list(want.justification), want.provenance)
+
+
+def test_concurrent_queries_fill_one_ledger_table():
+    # emptying the ledger's tables first makes the threads race to fill
+    # the one at q = 2, the slice flags and the reduced relations
+    ledger = load_seed_ledger()
+    jobs = [(infer_theta, t) for t in QUERIES + ["T(2,3) + 9_46 + -T(3,5)", "unknot"]]
+    jobs += [(lambda L, key: infer_theta_m(L, key, 2, 1), t)
+             for t in ("T(2,5)", "-T(3,7)", "9_42", "T(2,3) + -T(2,3) + Wh(T(2,5))")]
+
+    def run(job):
+        query, text = job
+        return query(ledger, parse_expression(text))
+
+    serial = [run(job) for job in jobs]
+    ledger._derived.clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(run, jobs * 4))
+    finally:
+        sys.setswitchinterval(old)
+    assert set(ledger._derived) == {("atoms", 2), "slice", "relations"}
+    for i, iv in enumerate(parallel):
+        want = serial[i % len(jobs)]
         assert (iv.lower, iv.upper, list(iv.justification), iv.provenance) == (
             want.lower, want.upper, list(want.justification), want.provenance)
 

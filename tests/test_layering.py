@@ -36,7 +36,6 @@ UNREFERENCED = {
     "Cyclotomic.conjugate": "the oracle of test_is_real_is_conjugation_invariance; "
                             "ROADMAP item 5 deletes the class",
     "eta_from_lattice_minimum": "acceptance criterion 7; ROADMAP item 1 moves it into the tests",
-    "SeifertMatrix.block_sum": "acceptance criterion 5; ROADMAP item 1 moves it into the tests",
     "sum_delta_upper": "acceptance criterion 9; ROADMAP item 8 gives it a reader",
     "crossing_change_j_bounds": "tests/test_sequences.py only; ROADMAP item 1 deletes it",
     "_Parser.error": "argparse.ArgumentParser calls it on a usage error",

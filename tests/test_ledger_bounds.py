@@ -4,16 +4,20 @@
 steps 1/(q-1).  The oracle here computes each bound from the module
 docstring's formula in ``Fraction`` arithmetic, straight from
 ``Ledger.quantity``, and rounds it inward: up for a lower bound, down for an
-upper one.
+upper one.  The rules are read from one table per (ledger, q), kept on the
+ledger; the last tests check that it is that ledger's own and bounded.
 """
 
+import copy
+import gc
+import json
 import math
 import random
 from fractions import Fraction
 
-from knotconc.infer import InferenceEngine
+from knotconc.infer import InferenceEngine, infer_theta
 from knotconc.knots import parse_expression
-from knotconc.ledger import ledger_from_json, load_seed_ledger
+from knotconc.ledger import ledger_from_json, load_seed_ledger, seed_ledger_text
 from knotconc.ledger_bounds import LedgerBounds
 from knotconc.sequences import DeltaSequence
 
@@ -93,7 +97,7 @@ def test_bounds_match_the_formulas_on_seed_universes():
             expr = " + ".join(rng.choice(("", "-")) + a for a in rng.sample(atoms, n))
             engine = InferenceEngine(L, q)
             engine.run(parse_expression(expr))
-            rules = LedgerBounds(L, q)  # one per query, as the engine keeps
+            rules = LedgerBounds(L, q)  # a view of the table the engine filled
             for key in engine.nodes:
                 found, u = rules.bounds(key)
                 assert found == oracle(L, key, q), (expr, q, key)
@@ -129,3 +133,42 @@ def test_r5_strict_boundary():
         found = LedgerBounds(L, 2).bounds(key)[0]
         assert [b for b in found if b[2].startswith("R5")] == want
         assert found == oracle(L, key, 2)
+
+
+def test_one_bounded_table_per_ledger_and_q(corpus):
+    L = load_seed_ledger()
+    for rnd in range(6):
+        for op in corpus.engine_round(7, rnd, list(L.atoms)):
+            infer_theta(L, parse_expression(op["expr"]), q=op["q"])
+    tables = {key: table for key, table in L._derived.items() if key[0] == "atoms"}
+    assert sorted(tables) == [("atoms", 2), ("atoms", 3)]
+    assert all(0 < len(table) <= 2 * len(L.atoms) for table in tables.values())
+    assert set(L._derived) - set(tables) == {"slice", "relations"}
+    assert len(L._derived["slice"]) <= 2 * len(L.atoms)
+    # the table is not a field: the ledger prints and compares as before
+    assert L == load_seed_ledger() and repr(L) == repr(load_seed_ledger())
+    assert "_derived" not in repr(L)
+
+
+def test_a_second_ledger_reads_its_own_table():
+    # same atom names, one g4 fact changed: a table keyed by atom name, or
+    # by a reused id() of the first ledger, would answer from the first
+    key = parse_expression("T(3,5)")
+    L = load_seed_ledger()
+    seed = infer_theta(L, key, q=3)
+    assert (seed.lower, seed.upper) == (0, 4)
+    assert seed.provenance["g4(T(3,5))"].startswith("g4(T(a,b))")
+    data = json.loads(seed_ledger_text())
+    changed = copy.deepcopy(data)
+    fact = next(f for f in changed["facts"] if (f["knot"], f["kind"]) == ("T(3,5)", "g4"))
+    fact["value"], fact["provenance"] = 3, "a changed g4 fact"
+    del L
+    gc.collect()
+    for _ in range(2):
+        other = ledger_from_json(changed)
+        iv = infer_theta(other, key, q=3)
+        assert (iv.lower, iv.upper) == (0, 3)
+        assert iv.provenance["g4(T(3,5))"] == "a changed g4 fact"
+        assert infer_theta(ledger_from_json(data), key, q=3) == seed
+        del other
+        gc.collect()

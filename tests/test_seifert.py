@@ -10,6 +10,7 @@ from knotconc.seifert import (
     _det_int,
     two_strand_torus_matrix,
 )
+from conftest import block_sum
 
 
 def cofactor_det(m):
@@ -60,19 +61,26 @@ def test_entries_above_the_limit_refused():
 
 
 def test_block_sum_sizes():
+    # the tests' block sum, the oracle of signature additivity
     a = two_strand_torus_matrix(3)
     b = two_strand_torus_matrix(5)
-    s = a.block_sum(b)
+    s = block_sum(a, b)
     assert s.size == a.size + b.size
     assert s.rows[0][:2] == a.rows[0]
     assert s.rows[2][2:] == b.rows[0]
 
 
+def _block_rows(a, b):
+    n, m = len(a), len(b)
+    return [list(row) + [0] * m for row in a] + [[0] * n + list(row) for row in b]
+
+
 def test_block_sum_above_the_limit_refused():
-    V = two_strand_torus_matrix(17)
-    assert V.block_sum(two_strand_torus_matrix(15)).size == MAX_SEIFERT_SIZE
+    V = two_strand_torus_matrix(17).rows
+    rows = _block_rows(V, two_strand_torus_matrix(15).rows)
+    assert SeifertMatrix.from_rows(rows).size == MAX_SEIFERT_SIZE
     with pytest.raises(SeifertMatrixError, match="size 32 is above the limit 30"):
-        V.block_sum(V)
+        SeifertMatrix.from_rows(_block_rows(V, V))
 
 
 def test_constructor_checks_what_from_rows_checks():
